@@ -1,8 +1,8 @@
 // Serving-tier benchmark: closed-loop mixed read/write load against a
 // live BirchServer (DESIGN.md §13). An ingest thread keeps streaming
 // DS1 points (serial Phase 1, publishing an epoch every
-// serving.publish_every_n of them; a second scenario drives the
-// sharded pipeline's quiesce-and-publish hook), while N reader threads
+// serving.publish_every_n of them; a second scenario ingests through
+// two shards, which quiesce at each publish), while N reader threads
 // hammer Assign() — with an occasional KNearestCentroids() — on the
 // current epoch. Reports aggregate QPS and the p50/p99/p999 assign
 // latency taken from the "serving/assign_us" obs histogram delta, so

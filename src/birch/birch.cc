@@ -62,42 +62,28 @@ Phase1Options Phase1OptionsFrom(const BirchOptions& o) {
   return p;
 }
 
-/// What Phases 2-4 need from a finished Phase 1, whether it ran
-/// serially (one Phase1Builder) or sharded (RunShardedPhase1).
-struct Phase1Outcome {
-  CfTree* tree = nullptr;
-  Phase1Stats stats;
-  RobustnessStats robustness;
-  const std::vector<CfVector>* final_outliers = nullptr;
-  /// Tracker backing `tree`; its peak is read after Phase 4 (Phase-2
-  /// condensation can still raise the high-water mark).
-  const MemoryTracker* mem = nullptr;
-  /// Sharded runs: sum of the per-shard tracker peaks (the shards
-  /// coexisted with each other, and briefly with the merged tree).
-  size_t shard_peak_bytes = 0;
-  uint64_t disk_pages_written = 0;
-  uint64_t disk_pages_read = 0;
-  uint64_t disk_raw_bytes = 0;
-  uint64_t disk_stored_bytes = 0;
-  uint64_t disk_hot_hits = 0;
-  uint64_t disk_hot_misses = 0;
-  uint64_t disk_hot_demotions = 0;
-  double seconds = 0.0;
-};
+ShardedPhase1Options IngestOptionsFrom(const BirchOptions& o) {
+  ShardedPhase1Options sp;
+  sp.phase1 = Phase1OptionsFrom(o);
+  sp.num_shards = o.exec.num_threads;
+  sp.dealing = o.exec.dealing;
+  sp.splitter_seed = o.exec.splitter_seed;
+  return sp;
+}
 
-/// Phases 2-4 plus result bookkeeping, shared by the serial and the
-/// sharded pipelines. `pool` is nullptr for the serial path, which
-/// keeps every loop bit-for-bit identical to the serial-only
-/// implementation.
+/// Phases 2-4 plus result bookkeeping. `pool` is nullptr when
+/// num_threads == 0; a one-worker pool runs every loop as one inline
+/// chunk, so the arithmetic is the same.
 StatusOr<BirchResult> RunPhases234(const BirchOptions& options,
                                    const Phase1Outcome& p1,
+                                   double phase1_seconds,
                                    const Dataset* for_refinement,
                                    exec::ThreadPool* pool,
                                    const obs::MetricsSnapshot& baseline) {
   BirchResult result;
   Timer timer;
   CfTree* tree = p1.tree;
-  result.timings.phase1 = p1.seconds;
+  result.timings.phase1 = phase1_seconds;
   result.phase1 = p1.stats;
   result.robustness = p1.robustness;
   result.leaf_entries_after_phase1 = tree->leaf_entry_count();
@@ -196,13 +182,13 @@ StatusOr<BirchResult> RunPhases234(const BirchOptions& options,
   result.peak_memory_bytes =
       p1.shard_peak_bytes + (p1.mem != nullptr ? p1.mem->peak() : 0);
   result.tree_nodes = tree->node_count();
-  result.disk_pages_written = p1.disk_pages_written;
-  result.disk_pages_read = p1.disk_pages_read;
-  result.disk_raw_bytes = p1.disk_raw_bytes;
-  result.disk_stored_bytes = p1.disk_stored_bytes;
-  result.disk_hot_hits = p1.disk_hot_hits;
-  result.disk_hot_misses = p1.disk_hot_misses;
-  result.disk_hot_demotions = p1.disk_hot_demotions;
+  result.disk_pages_written = p1.disk.pages_written;
+  result.disk_pages_read = p1.disk.pages_read;
+  result.disk_raw_bytes = p1.disk.raw_bytes_written;
+  result.disk_stored_bytes = p1.disk.stored_bytes_written;
+  result.disk_hot_hits = p1.disk.hot_hits;
+  result.disk_hot_misses = p1.disk.hot_misses;
+  result.disk_hot_demotions = p1.disk.hot_demotions;
   result.final_threshold = tree->threshold();
   // Accumulate in integers: CF point counts are integral (weights are
   // summed exactly for unit-weight streams), and a double accumulator
@@ -291,9 +277,10 @@ Status StreamingRefine(PointSource* source, const BirchOptions& opts,
 }  // namespace
 
 BirchClusterer::BirchClusterer(const BirchOptions& options)
-    : options_(options),
-      phase1_(std::make_unique<Phase1Builder>(Phase1OptionsFrom(options))),
-      metrics_baseline_(obs::CaptureSnapshot()) {
+    : options_(options), metrics_baseline_(obs::CaptureSnapshot()) {
+  if (options_.exec.num_threads > 0) {
+    pool_ = std::make_unique<exec::ThreadPool>(options_.exec.num_threads);
+  }
   if (options_.serving.publish_every_n > 0) {
     server_ = std::make_unique<serving::BirchServer>(options_.dim);
   }
@@ -322,18 +309,45 @@ BirchClusterer::BirchClusterer(const BirchOptions& options)
 
 BirchClusterer::~BirchClusterer() = default;
 
+StatusOr<std::unique_ptr<BirchClusterer>> BirchClusterer::Open(
+    const BirchOptions& options, const CheckpointImage* resume) {
+  std::unique_ptr<BirchClusterer> c(new BirchClusterer(options));
+  auto ingest_or = Phase1Ingest::Create(
+      IngestOptionsFrom(options), c->pool_.get(),
+      resume != nullptr ? &resume->freezes : nullptr,
+      resume != nullptr ? resume->points_ingested : 0);
+  if (!ingest_or.ok()) return ingest_or.status();
+  c->ingest_ = std::move(ingest_or).ValueOrDie();
+  return c;
+}
+
 StatusOr<std::unique_ptr<BirchClusterer>> BirchClusterer::Create(
     const BirchOptions& options) {
   BIRCH_RETURN_IF_ERROR(options.Validate());
-  return std::unique_ptr<BirchClusterer>(new BirchClusterer(options));
+  return Open(options, nullptr);
 }
 
-const CfTree& BirchClusterer::tree() const {
-  return sharded_ != nullptr ? *sharded_->tree : phase1_->tree();
-}
+const CfTree& BirchClusterer::tree() const { return ingest_->tree(); }
 
 const Phase1Stats& BirchClusterer::phase1_stats() const {
-  return sharded_ != nullptr ? sharded_->stats : phase1_->stats();
+  return ingest_->stats();
+}
+
+Status BirchClusterer::CheckIngestOpen(const char* api) const {
+  if (finished_) {
+    return Status::FailedPrecondition(
+        std::string(api) +
+        " after Finish(): the pipeline already ran; create a new "
+        "clusterer to ingest more data");
+  }
+  if (resume_skip_points_ > 0 && ingest_->shards() > 1) {
+    return Status::FailedPrecondition(
+        std::string(api) +
+        " on a clusterer restored from a multi-shard checkpoint: resume "
+        "with Cluster() on the same full stream, which re-fits the shard "
+        "splitter from the skipped prefix");
+  }
+  return Status::OK();
 }
 
 Status BirchClusterer::NoteIngested(uint64_t added) {
@@ -365,38 +379,20 @@ Status BirchClusterer::PublishSnapshot() {
     return Status::FailedPrecondition(
         "serving is disabled: set serving.publish_every_n > 0");
   }
-  auto snap_or = serving::ServingSnapshot::Build(
-      tree(), SnapshotOptionsFrom(options_, phase1_stats().points_added));
-  if (!snap_or.ok()) return snap_or.status();
-  return server_->Publish(std::move(snap_or).ValueOrDie());
+  const uint64_t points = ingest_->points();
+  return ingest_->View([&](const CfTree& tree) -> Status {
+    auto snap_or = serving::ServingSnapshot::Build(
+        tree, SnapshotOptionsFrom(options_, points));
+    if (!snap_or.ok()) return snap_or.status();
+    return server_->Publish(std::move(snap_or).ValueOrDie());
+  });
 }
 
 Status BirchClusterer::AddBatch(std::span<const double> xs, size_t n,
                                 std::span<const double> weights) {
-  if (finished_) {
-    return Status::FailedPrecondition(
-        "AddBatch() after Finish(): the pipeline already ran; create a "
-        "new clusterer to ingest more data");
-  }
-  if (!resume_freezes_.empty()) {
-    return Status::FailedPrecondition(
-        "restored from a sharded checkpoint: resume with Cluster() on "
-        "the same full stream (streaming ingest only resumes serial "
-        "checkpoints)");
-  }
+  BIRCH_RETURN_IF_ERROR(CheckIngestOpen("AddBatch()"));
+  BIRCH_RETURN_IF_ERROR(ValidateBatch(options_.dim, xs, n, weights));
   const size_t dim = options_.dim;
-  if (xs.size() != n * dim) {
-    return Status::InvalidArgument(
-        "batch size mismatch: got " + std::to_string(xs.size()) +
-        " doubles for n=" + std::to_string(n) + " points of dim " +
-        std::to_string(dim) + "; pass exactly n * dim row-major values");
-  }
-  if (!weights.empty() && weights.size() != n) {
-    return Status::InvalidArgument(
-        "weight count mismatch: got " + std::to_string(weights.size()) +
-        " weights for " + std::to_string(n) +
-        " points; pass one weight per point or an empty span for all-1");
-  }
   const uint64_t ckpt_n = options_.resources.checkpoint_every_n;
   const uint64_t pub_n = options_.serving.publish_every_n;
   size_t off = 0;
@@ -411,7 +407,7 @@ Status BirchClusterer::AddBatch(std::span<const double> xs, size_t n,
     if (pub_n > 0) {
       take = std::min<uint64_t>(take, pub_n - points_since_publish_);
     }
-    BIRCH_RETURN_IF_ERROR(phase1_->AddBatch(
+    BIRCH_RETURN_IF_ERROR(ingest_->AddBatch(
         xs.subspan(off * dim, take * dim), take,
         weights.empty() ? std::span<const double>()
                         : weights.subspan(off, take)));
@@ -437,22 +433,12 @@ Status BirchClusterer::AddDataset(const Dataset& data) {
 }
 
 Status BirchClusterer::AddSource(PointSource* source) {
-  if (finished_) {
-    return Status::FailedPrecondition(
-        "AddSource() after Finish(): the pipeline already ran; create a "
-        "new clusterer to ingest more data");
-  }
+  BIRCH_RETURN_IF_ERROR(CheckIngestOpen("AddSource()"));
   if (source->dim() != options_.dim) {
     return Status::InvalidArgument(
         "source dimension mismatch: source yields dim " +
         std::to_string(source->dim()) + ", clusterer was created with "
         "dim " + std::to_string(options_.dim));
-  }
-  if (!resume_freezes_.empty()) {
-    return Status::FailedPrecondition(
-        "restored from a sharded checkpoint: resume with Cluster() on "
-        "the same full stream (streaming ingest only resumes serial "
-        "checkpoints)");
   }
   // Chunked drain: the stream is never materialized, but points move
   // through the batch path a page-ish slab at a time.
@@ -479,16 +465,9 @@ Status BirchClusterer::AddSource(PointSource* source) {
 }
 
 Status BirchClusterer::SaveCheckpoint(const std::string& path) {
-  if (finished_) {
-    return Status::FailedPrecondition("SaveCheckpoint() after Finish()");
-  }
-  if (!resume_freezes_.empty()) {
-    return Status::FailedPrecondition(
-        "restored from a sharded checkpoint: sharded images are written "
-        "by the auto-checkpoint hook inside Cluster()");
-  }
-  auto freeze_or = phase1_->Freeze();
-  if (!freeze_or.ok()) return freeze_or.status();
+  BIRCH_RETURN_IF_ERROR(CheckIngestOpen("SaveCheckpoint()"));
+  auto freezes_or = ingest_->Freeze();
+  if (!freezes_or.ok()) return freezes_or.status();
   CheckpointImage img;
   img.dim = options_.dim;
   img.page_size = options_.resources.page_size;
@@ -497,9 +476,11 @@ Status BirchClusterer::SaveCheckpoint(const std::string& path) {
   img.cf_representation = static_cast<uint32_t>(options_.tree.cf);
   img.scalar_width = options_.tree.cf_storage == CfStorage::kF32 ? 32 : 64;
   img.page_codec = static_cast<uint32_t>(options_.resources.page_codec);
-  img.shard_count = 0;
-  img.points_ingested = phase1_->stats().points_added;
-  img.freezes.push_back(std::move(freeze_or).ValueOrDie());
+  // A one-shard image is the serial image.
+  const int shards = ingest_->shards();
+  img.shard_count = shards > 1 ? static_cast<uint32_t>(shards) : 0;
+  img.points_ingested = ingest_->points();
+  img.freezes = std::move(freezes_or).ValueOrDie();
   return WriteCheckpointFile(path, img);
 }
 
@@ -556,54 +537,49 @@ StatusOr<std::unique_ptr<BirchClusterer>> BirchClusterer::Restore(
         ", options say " + PageCodecName(options.resources.page_codec) +
         " (set resources.page_codec to match the checkpointed run)");
   }
+  const uint32_t img_shards = std::max<uint32_t>(1, img.shard_count);
+  if (static_cast<uint32_t>(std::max(1, options.exec.num_threads)) !=
+      img_shards) {
+    return Status::InvalidArgument(
+        "checkpoint was written by " + std::to_string(img_shards) +
+        " shard(s); options.exec.num_threads must give the same shard "
+        "count (max(1, num_threads))");
+  }
 
-  std::unique_ptr<BirchClusterer> c(new BirchClusterer(options));
+  auto c_or = Open(options, &img);
+  if (!c_or.ok()) return c_or.status();
+  std::unique_ptr<BirchClusterer> c = std::move(c_or).ValueOrDie();
   c->resume_skip_points_ = img.points_ingested;
+  // Keep both cadences aligned with absolute stream position, matching
+  // what the uninterrupted run would do.
   if (options.resources.checkpoint_every_n > 0) {
-    // Keep the auto-checkpoint cadence aligned with absolute stream
-    // position, matching what the uninterrupted run would do.
     c->points_since_checkpoint_ =
         img.points_ingested % options.resources.checkpoint_every_n;
   }
-  if (img.shard_count == 0) {
-    if (options.exec.num_threads != 0) {
-      return Status::InvalidArgument(
-          "serial checkpoint requires num_threads == 0");
-    }
-    auto b_or = Phase1Builder::Thaw(Phase1OptionsFrom(options),
-                                    img.freezes.front());
-    if (!b_or.ok()) return b_or.status();
-    c->phase1_ = std::move(b_or).ValueOrDie();
-  } else {
-    if (options.exec.num_threads != static_cast<int>(img.shard_count)) {
-      return Status::InvalidArgument(
-          "sharded checkpoint was written by " +
-          std::to_string(img.shard_count) +
-          " shards; options.exec.num_threads must equal that");
-    }
-    c->resume_freezes_ = std::move(img.freezes);
+  if (options.serving.publish_every_n > 0) {
+    c->points_since_publish_ =
+        img.points_ingested % options.serving.publish_every_n;
   }
   return c;
 }
 
 StatusOr<BirchResult> BirchClusterer::Snapshot(int k) const {
   std::vector<CfVector> entries;
-  // Filled from the serving epoch on the mid-stream sharded path,
+  // Filled from the serving epoch on the mid-stream multi-shard path,
   // where the live tree() is not this thread's to read.
   std::shared_ptr<const serving::ServingSnapshot> epoch;
-  if (options_.exec.num_threads > 0 &&
+  if (ingest_->shards() > 1 &&
       !merged_ready_.load(std::memory_order_acquire)) {
-    // The sharded pipeline merges its per-shard trees only at the end
-    // of Cluster(), but the serving tier publishes coherent epochs
-    // along the way: answer from the latest one, exactly like the
-    // serial path answers from the live tree.
+    // The shard trees merge only at Finish(), but the serving tier
+    // publishes coherent epochs along the way: answer from the latest
+    // one, exactly like the one-shard path answers from the live tree.
     epoch = server_ != nullptr ? server_->Acquire() : nullptr;
     if (epoch == nullptr) {
       return Status::FailedPrecondition(
-          "Snapshot() before Cluster() on the sharded path (num_threads "
-          "> 0) reads the last published serving epoch, and none exists "
+          "Snapshot() before Finish() with several shards (num_threads "
+          "> 1) reads the last published serving epoch, and none exists "
           "yet — set serving.publish_every_n > 0 (and ingest past it), "
-          "run Cluster() to completion first, or use num_threads == 0");
+          "finish the run first, or use num_threads <= 1");
     }
     entries = epoch->LeafEntries();
   } else {
@@ -641,8 +617,8 @@ StatusOr<BirchResult> BirchClusterer::Snapshot(int k) const {
   result.leaf_entries_after_phase1 = entries.size();
   result.leaf_entries_after_phase2 = entries.size();
   if (epoch != nullptr) {
-    // Mid-stream sharded: the epoch's capture-time view stands in for
-    // the live tree (whose pages belong to the shard workers).
+    // Mid-stream multi-shard: the epoch's capture-time view stands in
+    // for the live trees (whose pages belong to the shard workers).
     result.phase1.points_added = epoch->points_ingested();
     result.phase1.final_threshold = epoch->threshold();
     result.tree_nodes = epoch->node_count();
@@ -661,40 +637,26 @@ StatusOr<BirchResult> BirchClusterer::Finish(const Dataset* for_refinement) {
   if (finished_) return Status::FailedPrecondition("Finish() called twice");
   finished_ = true;
 
-  // --- Phase 1 tail: flush delayed points, settle outliers. ---
-  BIRCH_RETURN_IF_ERROR(phase1_->Finish());
-  Phase1Outcome p1;
-  p1.tree = phase1_->mutable_tree();
+  // --- Phase 1 tail: flush delayed points, settle outliers, and (S > 1)
+  // merge the shards. ---
+  auto p1_or = ingest_->Finish();
+  if (!p1_or.ok()) return p1_or.status();
+  const Phase1Outcome& p1 = p1_or.value();
+  merged_ready_.store(true, std::memory_order_release);
   // Phase 1 started when the clusterer was built: the Add() stream is
   // the phase, not just this tail.
-  p1.seconds = phase1_timer_.Seconds();
+  const double phase1_seconds = phase1_timer_.Seconds();
   phase1_span_.End();
-  p1.stats = phase1_->stats();
-  p1.robustness = phase1_->robustness();
-  p1.final_outliers = &phase1_->final_outliers();
-  p1.mem = &phase1_->memory();
-  p1.disk_pages_written = phase1_->disk().io_stats().pages_written;
-  p1.disk_pages_read = phase1_->disk().io_stats().pages_read;
-  p1.disk_raw_bytes = phase1_->disk().io_stats().raw_bytes_written;
-  p1.disk_stored_bytes = phase1_->disk().io_stats().stored_bytes_written;
-  p1.disk_hot_hits = phase1_->disk().io_stats().hot_hits;
-  p1.disk_hot_misses = phase1_->disk().io_stats().hot_misses;
-  p1.disk_hot_demotions = phase1_->disk().io_stats().hot_demotions;
 
   // One final epoch covering the whole stream (the Phase-1 tail may
-  // have settled delayed points since the last cadence publish).
+  // have settled delayed points, and the merge re-homed and reabsorbed
+  // entries, since the last cadence publish).
   if (server_ != nullptr && tree().leaf_entry_count() > 0) {
     BIRCH_RETURN_IF_ERROR(PublishSnapshot());
   }
 
-  // The streaming API ingests serially (points arrive one Add() at a
-  // time), but Phases 3/4 still parallelize when asked.
-  std::unique_ptr<exec::ThreadPool> pool;
-  if (options_.exec.num_threads > 0) {
-    pool = std::make_unique<exec::ThreadPool>(options_.exec.num_threads);
-  }
-  auto result_or = RunPhases234(options_, p1, for_refinement, pool.get(),
-                                metrics_baseline_);
+  auto result_or = RunPhases234(options_, p1, phase1_seconds, for_refinement,
+                                pool_.get(), metrics_baseline_);
   if (sampler_ != nullptr) {
     sampler_->Stop();  // final sample covers the finished run
     if (result_or.ok()) result_or.value().timeseries = sampler_->Snapshot();
@@ -710,129 +672,11 @@ StatusOr<BirchResult> BirchClusterer::Cluster(PointSource* source,
   if (source->dim() != options_.dim) {
     return Status::InvalidArgument("source dimension mismatch");
   }
-  if (options_.exec.num_threads <= 0) {
-    // Serial: the streaming path, point by point. A restored clusterer
-    // skips what the checkpointed run already consumed.
-    if (resume_skip_points_ > 0) {
-      std::vector<double> p(options_.dim);
-      double w = 1.0;
-      uint64_t skipped = 0;
-      while (skipped < resume_skip_points_ && source->Next(p, &w)) ++skipped;
-      if (skipped < resume_skip_points_) {
-        return Status::InvalidArgument(
-            "source ended before the checkpoint's resume offset (" +
-            std::to_string(skipped) + " < " +
-            std::to_string(resume_skip_points_) +
-            "); pass the same stream the checkpointed run consumed");
-      }
-      resume_skip_points_ = 0;
-    }
-    BIRCH_RETURN_IF_ERROR(AddSource(source));
-    return Finish(for_refinement);
-  }
-
-  // Sharded: N private trees merged by CF additivity, then the
-  // parallel Phases 2-4. The result outlives the pool; the merged
-  // tree is kept so tree()/phase1_stats() work afterwards.
-  finished_ = true;
-  exec::ThreadPool pool(options_.exec.num_threads);
-  ShardedPhase1Options sp;
-  sp.phase1 = Phase1OptionsFrom(options_);
-  sp.num_shards = options_.exec.num_threads;
-  sp.dealing = options_.exec.dealing;
-  sp.splitter_seed = options_.exec.splitter_seed;
-  sp.affinity_sample = options_.exec.affinity_sample;
-  sp.affinity_centers = options_.exec.affinity_centers;
-  sp.resume = resume_freezes_.empty() ? nullptr : &resume_freezes_;
-  sp.resume_skip_points = resume_skip_points_;
-  if (options_.resources.checkpoint_every_n > 0) {
-    sp.checkpoint_every_n = options_.resources.checkpoint_every_n;
-    const BirchOptions& o = options_;
-    sp.on_checkpoint =
-        [&o](uint64_t points_dealt,
-             std::vector<std::unique_ptr<Phase1Builder>>* builders) -> Status {
-      CheckpointImage img;
-      img.dim = o.dim;
-      img.page_size = o.resources.page_size;
-      img.metric = static_cast<uint32_t>(o.tree.metric);
-      img.threshold_kind = static_cast<uint32_t>(o.tree.threshold_kind);
-      img.cf_representation = static_cast<uint32_t>(o.tree.cf);
-      img.scalar_width = o.tree.cf_storage == CfStorage::kF32 ? 32 : 64;
-      img.page_codec = static_cast<uint32_t>(o.resources.page_codec);
-      img.shard_count = static_cast<uint32_t>(builders->size());
-      img.points_ingested = points_dealt;
-      img.freezes.reserve(builders->size());
-      for (auto& b : *builders) {
-        auto f_or = b->Freeze();
-        if (!f_or.ok()) return f_or.status();
-        img.freezes.push_back(std::move(f_or).ValueOrDie());
-      }
-      return WriteCheckpointFile(o.resources.checkpoint_path, img);
-    };
-  }
-  if (server_ != nullptr) {
-    sp.publish_every_n = options_.serving.publish_every_n;
-    const BirchOptions& o = options_;
-    serving::BirchServer* srv = server_.get();
-    sp.on_publish =
-        [&o, srv](uint64_t points_dealt,
-                  std::vector<std::unique_ptr<Phase1Builder>>* builders)
-        -> Status {
-      // The shards are quiesced: merge their trees into a transient
-      // union (CF additivity; unlimited transient tracker — the copy
-      // lives only for the duration of this callback), snapshot it,
-      // and let it die. The snapshot itself is the compact long-lived
-      // form.
-      MemoryTracker mem(0);
-      CfTreeOptions merged_opts = TreeOptionsFrom(o);
-      for (const auto& b : *builders) {
-        merged_opts.threshold =
-            std::max(merged_opts.threshold, b->tree().threshold());
-      }
-      CfTree merged(merged_opts, &mem);
-      for (const auto& b : *builders) merged.AbsorbTree(b->tree());
-      auto snap_or = serving::ServingSnapshot::Build(
-          merged, SnapshotOptionsFrom(o, points_dealt));
-      if (!snap_or.ok()) return snap_or.status();
-      return srv->Publish(std::move(snap_or).ValueOrDie());
-    };
-  }
-  auto sharded_or = RunShardedPhase1(source, sp, &pool);
-  if (!sharded_or.ok()) return sharded_or.status();
-  resume_freezes_.clear();
+  // A restored clusterer skips what the checkpointed run consumed.
+  BIRCH_RETURN_IF_ERROR(ingest_->SkipPrefix(source, resume_skip_points_));
   resume_skip_points_ = 0;
-  sharded_ = std::make_unique<ShardedPhase1Result>(
-      std::move(sharded_or).ValueOrDie());
-  merged_ready_.store(true, std::memory_order_release);
-  Phase1Outcome p1;
-  p1.tree = sharded_->tree.get();
-  p1.stats = sharded_->stats;
-  p1.robustness = sharded_->robustness;
-  p1.final_outliers = &sharded_->final_outliers;
-  p1.mem = sharded_->mem.get();
-  p1.shard_peak_bytes = sharded_->peak_memory_bytes;
-  p1.disk_pages_written = sharded_->disk_pages_written;
-  p1.disk_pages_read = sharded_->disk_pages_read;
-  p1.disk_raw_bytes = sharded_->disk_raw_bytes;
-  p1.disk_stored_bytes = sharded_->disk_stored_bytes;
-  p1.disk_hot_hits = sharded_->disk_hot_hits;
-  p1.disk_hot_misses = sharded_->disk_hot_misses;
-  p1.disk_hot_demotions = sharded_->disk_hot_demotions;
-  p1.seconds = phase1_timer_.Seconds();
-  phase1_span_.End();
-  // Final epoch from the merged tree (the per-epoch publishes saw the
-  // pre-merge shard union; this one sees the re-homed, reabsorbed
-  // result Phases 2-4 start from).
-  if (server_ != nullptr && tree().leaf_entry_count() > 0) {
-    BIRCH_RETURN_IF_ERROR(PublishSnapshot());
-  }
-  auto result_or =
-      RunPhases234(options_, p1, for_refinement, &pool, metrics_baseline_);
-  if (sampler_ != nullptr) {
-    sampler_->Stop();
-    if (result_or.ok()) result_or.value().timeseries = sampler_->Snapshot();
-  }
-  return result_or;
+  BIRCH_RETURN_IF_ERROR(AddSource(source));
+  return Finish(for_refinement);
 }
 
 StatusOr<BirchResult> ClusterSource(PointSource* source,

@@ -1,9 +1,10 @@
 // Public entry points. BirchClusterer is the single engine: stream
 // points in with AddBatch() — the primary, SoA-friendly ingest surface
 // that Add()/AddDataset()/AddSource() are reimplemented on — and call
-// Finish(), or hand it a whole PointSource via Cluster() (which picks
-// the serial or sharded Phase-1 pipeline from
-// options.exec.num_threads). The one-call ClusterDataset /
+// Finish(), or hand it a whole PointSource via Cluster() (AddSource()
+// + Finish()). Every entry point feeds the one Phase-1 pipeline
+// (birch/phase1_parallel.h), sharded across options.exec.num_threads
+// trees when that is above 1. The one-call ClusterDataset /
 // ClusterSource wrappers are thin delegations to it. This is the API
 // the examples and benchmarks build on.
 #ifndef BIRCH_BIRCH_BIRCH_H_
@@ -17,9 +18,11 @@
 #include "birch/global_cluster.h"
 #include "birch/options.h"
 #include "birch/phase1.h"
+#include "birch/phase1_parallel.h"
 #include "birch/phase2.h"
 #include "birch/point_source.h"
 #include "birch/refine.h"
+#include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "obs/timeseries.h"
@@ -31,6 +34,8 @@ namespace birch {
 namespace serving {
 class BirchServer;
 }  // namespace serving
+
+struct CheckpointImage;
 
 /// Wall-clock seconds per phase.
 struct PhaseTimings {
@@ -88,14 +93,13 @@ struct BirchResult {
   std::vector<obs::TimeSeriesSnapshot> timeseries;
 };
 
-struct ShardedPhase1Result;
-
 /// Incremental clustering: feed points as they arrive; Finish() runs
 /// Phases 2-4 and returns the result. Snapshot() clusters the current
 /// tree contents without disturbing the stream — the paper's
 /// "incremental" claim as a first-class API. For whole-input runs,
-/// Cluster() drives the full pipeline (sharded Phase 1 when
-/// options.exec.num_threads > 0) in one call.
+/// Cluster() drives the full pipeline in one call. Phase 1 runs over
+/// S = max(1, options.exec.num_threads) shards on every entry point;
+/// S = 1 is the serial build.
 class BirchClusterer {
  public:
   /// Fails on invalid options.
@@ -132,10 +136,10 @@ class BirchClusterer {
   /// and phase1_stats() remain valid for inspection.
   StatusOr<BirchResult> Finish(const Dataset* for_refinement = nullptr);
 
-  /// Whole-pipeline convenience: drains `source` through Phase 1
-  /// (sharded across options.exec.num_threads trees when > 0, the
-  /// streaming serial path otherwise), then runs Phases 2-4 exactly
-  /// like Finish(). Consumes the builder the same way.
+  /// Whole-pipeline convenience: AddSource(`source`) then
+  /// Finish(`for_refinement`). A restored clusterer first skips the
+  /// points the checkpointed run consumed. Consumes the builder the
+  /// same way.
   StatusOr<BirchResult> Cluster(PointSource* source,
                                 const Dataset* for_refinement = nullptr);
 
@@ -143,35 +147,40 @@ class BirchClusterer {
   /// modifying the tree. Cheap relative to the stream. The result has
   /// no labels (no raw data is revisited); clusters, centroids,
   /// Phase-1/tree stats and the metrics delta are filled in.
-  /// With options.exec.num_threads > 0 a mid-stream snapshot would read
-  /// per-shard state that is only merged at Cluster()'s end, so it
-  /// returns FailedPrecondition until the run finishes (afterwards it
-  /// snapshots the merged tree).
+  /// With S > 1 shards the live trees belong to the shard workers, so a
+  /// mid-stream snapshot (which may race the ingest thread) answers
+  /// from the last published serving epoch, and returns
+  /// FailedPrecondition when there is none; after Finish()/Cluster() it
+  /// snapshots the merged tree.
   StatusOr<BirchResult> Snapshot(int k) const;
 
   /// Writes a durable checkpoint of the live Phase-1 state to `path`
   /// (atomic replace; format in birch/checkpoint.h) without disturbing
-  /// the stream — Add() more points and checkpoint again at will.
-  /// FailedPrecondition after Finish()/Cluster(), and on a clusterer
-  /// restored from a *sharded* checkpoint before its Cluster() call
-  /// (sharded images are written by the auto-checkpoint hook inside
-  /// Cluster(), where the shards exist).
+  /// the stream — Add() more points and checkpoint again at will. With
+  /// S > 1 the shards quiesce first and the image holds one freeze per
+  /// shard. FailedPrecondition after Finish()/Cluster(), and on a
+  /// clusterer restored from a multi-shard checkpoint before its
+  /// Cluster() call.
   Status SaveCheckpoint(const std::string& path);
 
   /// Reopens a checkpoint. `options` must fingerprint-match the
   /// checkpointed run (dim, page_size, metric, threshold kind →
-  /// InvalidArgument otherwise), and num_threads must be 0 for a
-  /// serial image / equal to the shard count for a sharded one.
-  /// Resume by feeding only the unseen points via Add()/AddSource() +
-  /// Finish(), or by handing the SAME full stream to Cluster(), which
-  /// skips the first points_ingested points automatically. A fault-
-  /// free serial resume is bitwise identical to the uninterrupted run.
+  /// InvalidArgument otherwise), and max(1, num_threads) must equal the
+  /// image's shard count. Resume by feeding only the unseen points via
+  /// Add()/AddSource() + Finish(), or by handing the SAME full stream
+  /// to Cluster(), which skips the first points_ingested points
+  /// automatically. A multi-shard image resumes only through
+  /// Cluster(): the affinity splitter is re-fitted from the skipped
+  /// prefix. A fault-free resume is bitwise identical to the
+  /// uninterrupted run.
   static StatusOr<std::unique_ptr<BirchClusterer>> Restore(
       const std::string& path, const BirchOptions& options);
 
   /// Phase-1 state inspection. Valid before and after
-  /// Finish()/Cluster(); with a sharded Cluster() run these report
-  /// the merged tree.
+  /// Finish()/Cluster(); afterwards they report the merged tree. With
+  /// S > 1 before that they show the first shard only, readable only
+  /// right after a SaveCheckpoint()/PublishSnapshot() (which quiesce
+  /// the shards) and before the next ingest call.
   const CfTree& tree() const;
   const Phase1Stats& phase1_stats() const;
 
@@ -188,31 +197,41 @@ class BirchClusterer {
   /// publishes it as a new epoch (the manual form of the
   /// publish_every_n cadence — e.g. one final epoch after the stream
   /// ends). FailedPrecondition when serving is disabled or nothing has
-  /// been ingested. On the sharded path the live per-shard trees are
-  /// only visible inside Cluster(), so mid-stream manual publishes see
-  /// an empty tree; the automatic cadence covers that path.
+  /// been ingested. With S > 1 the shards quiesce and the epoch is
+  /// built from a transient union of their trees.
   Status PublishSnapshot();
 
  private:
   explicit BirchClusterer(const BirchOptions& options);
 
-  /// Cadence bookkeeping for the serial ingest paths: advances the
-  /// point counters by `added` and runs the auto-checkpoint / auto-
-  /// publish hooks when they land exactly on their cadences (AddBatch
-  /// splits batches so they always do).
+  /// Create()/Restore() tail: builds the Phase-1 ingest (thawing
+  /// `resume`'s freezes when given) on a fresh clusterer.
+  static StatusOr<std::unique_ptr<BirchClusterer>> Open(
+      const BirchOptions& options, const CheckpointImage* resume);
+
+  /// FailedPrecondition naming `api` when the stream is closed: after
+  /// Finish()/Cluster(), or on a clusterer restored from a multi-shard
+  /// checkpoint whose prefix only Cluster(full stream) can re-read.
+  Status CheckIngestOpen(const char* api) const;
+
+  /// Cadence bookkeeping: advances the point counters by `added` and
+  /// runs the auto-checkpoint / auto-publish hooks when they land
+  /// exactly on their cadences (AddBatch splits batches so they always
+  /// do).
   Status NoteIngested(uint64_t added);
 
   BirchOptions options_;
-  std::unique_ptr<Phase1Builder> phase1_;
-  /// Set by a sharded Cluster() run; keeps the merged tree alive so
-  /// tree()/phase1_stats() stay valid after the run.
-  std::unique_ptr<ShardedPhase1Result> sharded_;
+  /// Phases 3-4 (and, S > 1, the shard workers and merge) run here;
+  /// null when num_threads == 0. Declared before ingest_, which must
+  /// stop its workers first.
+  std::unique_ptr<exec::ThreadPool> pool_;
+  std::unique_ptr<Phase1Ingest> ingest_;
   bool finished_ = false;
-  /// True once a sharded Cluster() has installed `sharded_` (the
-  /// merged tree). Release/acquire because Snapshot() may race a
-  /// sharded Cluster() from another thread — that is the supported
-  /// mid-stream snapshot pattern: until this flips, a concurrent
-  /// Snapshot() answers from the last published serving epoch.
+  /// True once Finish() has merged the shards. Release/acquire because
+  /// Snapshot() may race a multi-shard Cluster() from another thread —
+  /// that is the supported mid-stream snapshot pattern: until this
+  /// flips, a concurrent Snapshot() answers from the last published
+  /// serving epoch.
   std::atomic<bool> merged_ready_{false};
 
   // --- Serving tier state ---
@@ -220,18 +239,14 @@ class BirchClusterer {
   /// sampler_ so the sampler (whose probes read the server) joins its
   /// thread first on destruction.
   std::unique_ptr<serving::BirchServer> server_;
-  /// Serial auto-publish counter (points since the last epoch).
+  /// Auto-publish counter (points since the last epoch).
   uint64_t points_since_publish_ = 0;
 
   // --- Checkpoint / resume state ---
   /// Points the checkpoint's run had consumed; Cluster() skips this
   /// many source points before ingesting.
   uint64_t resume_skip_points_ = 0;
-  /// Pending per-shard freezes from a sharded-checkpoint Restore();
-  /// consumed by Cluster(). Non-empty blocks Add()/AddDataset()/
-  /// AddSource()/SaveCheckpoint().
-  std::vector<Phase1Freeze> resume_freezes_;
-  /// Serial auto-checkpoint counter (points since the last save).
+  /// Auto-checkpoint counter (points since the last save).
   uint64_t points_since_checkpoint_ = 0;
 
   /// Registry state at construction; Finish() reports the delta so

@@ -95,10 +95,10 @@ struct BirchOptions {
     /// Auto-checkpoint: every `checkpoint_every_n` ingested points,
     /// write a durable checkpoint of the live Phase-1 state to
     /// `checkpoint_path` (atomically replacing the previous one). 0
-    /// disables. Works on both the serial streaming path and the
-    /// sharded Cluster() path (shards quiesce at a barrier so the file
-    /// is one coherent image). See birch/checkpoint.h for the format
-    /// and BirchClusterer::Restore for the resume side.
+    /// disables. Works at every thread count (with several shards,
+    /// they quiesce first so the file is one coherent image). See
+    /// birch/checkpoint.h for the format and BirchClusterer::Restore
+    /// for the resume side.
     uint64_t checkpoint_every_n = 0;
     std::string checkpoint_path;
   };
@@ -149,29 +149,22 @@ struct BirchOptions {
 
   // --- Execution (src/exec + src/birch/kernel) ---
   struct Exec {
-    /// Worker threads for the parallel paths. 0 (the default) runs
-    /// the fully serial pipeline — bit-for-bit identical to the
-    /// pre-parallel implementation. N >= 1 shards Phase 1 across N
-    /// private CF trees (dealt per `dealing`, merged by CF additivity)
-    /// and runs the Phase-3 / Phase-4 loops through a ThreadPool of N
-    /// workers. Results are deterministic for a fixed (seed,
+    /// Worker threads for the parallel paths. 0 (the default) and 1
+    /// run the serial pipeline, bit-for-bit identical to each other.
+    /// N >= 2 shards Phase 1 — on every ingest entry point — across N
+    /// private CF trees (dealt per `dealing`, merged by CF additivity).
+    /// N >= 1 runs the Phase-3 / Phase-4 loops through a ThreadPool of
+    /// N workers. Results are deterministic for a fixed (seed,
     /// num_threads, splitter_seed) triple; different thread counts may
     /// differ in the last float bits (chunked summation order).
     int num_threads = 0;
     /// Shard routing policy (see DealingMode). Only consulted when
-    /// num_threads > 0.
+    /// num_threads > 1.
     DealingMode dealing = DealingMode::kAffinity;
     /// Seed for the affinity splitter's shallow k-means. Part of the
     /// determinism contract: fixed (seed, num_threads, splitter_seed)
     /// implies a bitwise-reproducible run.
     uint64_t splitter_seed = 0xb1c5;
-    /// Points sampled from the head of the stream to fit the affinity
-    /// splitter (dealt round-robin while the sample accumulates).
-    /// 0 = auto: max(1024, 256 * shards).
-    size_t affinity_sample = 0;
-    /// Splitter centers; each shard owns one or more. 0 = auto:
-    /// 4 * shards, capped at 64.
-    size_t affinity_centers = 0;
     /// Distance-scan implementation for the hot paths (tree descent,
     /// Phase-3 sweeps, Phase-4 assignment). kScalar and kBatch are
     /// bitwise identical; kBatch is the SoA one-pass scan
@@ -200,10 +193,9 @@ struct BirchOptions {
   struct Serving {
     /// > 0: Phase 1 publishes an immutable ServingSnapshot epoch to
     /// BirchClusterer::server() every `publish_every_n` ingested
-    /// points (serial paths count Add()s; the sharded Cluster() path
-    /// quiesces its shards at the same stream positions, so the epoch
-    /// is one coherent image). 0 (the default) publishes nothing and
-    /// creates no server.
+    /// points, counted from the start of the stream (with several
+    /// shards, they quiesce first so the epoch is one coherent image).
+    /// 0 (the default) publishes nothing and creates no server.
     uint64_t publish_every_n = 0;
     /// Cluster count for each snapshot's publish-time cluster table
     /// (what Assign's cluster_id and KNearestCentroids index into).
@@ -363,8 +355,6 @@ class BirchOptions::Builder {
   Builder& NumThreads(int v) { o_.exec.num_threads = v; return *this; }
   Builder& Dealing(DealingMode v) { o_.exec.dealing = v; return *this; }
   Builder& SplitterSeed(uint64_t v) { o_.exec.splitter_seed = v; return *this; }
-  Builder& AffinitySample(size_t v) { o_.exec.affinity_sample = v; return *this; }
-  Builder& AffinityCenters(size_t v) { o_.exec.affinity_centers = v; return *this; }
   Builder& Kernel(KernelKind v) { o_.exec.kernel = v; return *this; }
 
   // --- Observability ---

@@ -230,14 +230,8 @@ Status Phase1Builder::Add(std::span<const double> x, double weight) {
   return IngestPointCf();
 }
 
-Status Phase1Builder::AddBatch(std::span<const double> xs, size_t n,
-                               std::span<const double> weights) {
-  if (finished_) {
-    return Status::FailedPrecondition(
-        "AddBatch() after Finish(): create a new builder to ingest more "
-        "data");
-  }
-  const size_t dim = options_.tree.dim;
+Status ValidateBatch(size_t dim, std::span<const double> xs, size_t n,
+                     std::span<const double> weights) {
   if (xs.size() != n * dim) {
     return Status::InvalidArgument(
         "batch size mismatch: got " + std::to_string(xs.size()) +
@@ -250,13 +244,25 @@ Status Phase1Builder::AddBatch(std::span<const double> xs, size_t n,
         " weights for " + std::to_string(n) +
         " points; pass one weight per point or an empty span for all-1");
   }
-  // Validate the whole batch before ingesting any of it, so a bad
-  // weight rejects the batch instead of leaving it half-inserted.
   for (double w : weights) {
     if (w <= 0.0) {
       return Status::InvalidArgument("weight must be positive");
     }
   }
+  return Status::OK();
+}
+
+Status Phase1Builder::AddBatch(std::span<const double> xs, size_t n,
+                               std::span<const double> weights) {
+  if (finished_) {
+    return Status::FailedPrecondition(
+        "AddBatch() after Finish(): create a new builder to ingest more "
+        "data");
+  }
+  const size_t dim = options_.tree.dim;
+  // Validate the whole batch before ingesting any of it, so a bad
+  // weight rejects the batch instead of leaving it half-inserted.
+  BIRCH_RETURN_IF_ERROR(ValidateBatch(dim, xs, n, weights));
   for (size_t i = 0; i < n; ++i) {
     ++stats_.points_added;
     point_cf_.AssignPoint(xs.subspan(i * dim, dim),

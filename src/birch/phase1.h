@@ -114,6 +114,12 @@ struct Phase1Freeze {
   FaultStats fault_stats;
 };
 
+/// Checks one AddBatch() call whole: `xs` must hold exactly n * dim
+/// values, `weights` be empty or hold n positive values.
+/// InvalidArgument otherwise.
+Status ValidateBatch(size_t dim, std::span<const double> xs, size_t n,
+                     std::span<const double> weights);
+
 /// Single-scan builder. Usage: Add() every point, then Finish() exactly
 /// once; afterwards tree() holds the condensed summary and
 /// final_outliers() the entries that never fit anywhere.

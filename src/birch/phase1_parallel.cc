@@ -10,77 +10,30 @@
 #include <utility>
 #include <vector>
 
-#include "birch/kernel/kernel.h"
 #include "birch/threshold.h"
 #include "exec/channel.h"
 #include "exec/parallel_for.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "util/random.h"
 
 namespace birch {
 
 namespace {
 
-/// Quiesce barrier for checkpointing: each worker arrives (after
-/// consuming every batch dealt before the sync marker) and parks until
-/// released; the dealer waits for all arrivals, snapshots the builders
-/// while nothing touches them, then releases. The mutex hand-off also
-/// publishes each worker's writes to the dealer and vice versa.
-///
-/// Shared ownership is load-bearing: the dealer may start the next
-/// quiesce before a released worker has fully left Arrive(), so each
-/// barrier must be a distinct object that outlives its slowest waiter
-/// (a reused stack slot would hand that waiter a recycled, un-released
-/// barrier).
-struct SyncPoint {
-  std::mutex mu;
-  std::condition_variable cv;
-  const int expected;
-  int arrived = 0;
-  bool released = false;
+/// Points per hand-off batch (amortizes channel locking).
+constexpr size_t kBatchPoints = 256;
+/// Batches buffered per shard channel before the dealer blocks.
+constexpr size_t kChannelBatches = 4;
 
-  explicit SyncPoint(int n) : expected(n) {}
-  void Arrive() {
-    std::unique_lock<std::mutex> lock(mu);
-    if (++arrived == expected) cv.notify_all();
-    cv.wait(lock, [this] { return released; });
-  }
-  void AwaitAll() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [this] { return arrived == expected; });
-  }
-  void Release() {
-    std::lock_guard<std::mutex> lock(mu);
-    released = true;
-    cv.notify_all();
-  }
-};
-
-/// One hand-off unit: `xs` holds batch points flattened dim-major.
-/// A batch with `sync` set carries no points — it tells the worker to
-/// park at the barrier.
-struct PointBatch {
-  std::vector<double> xs;
-  std::vector<double> ws;
-  std::shared_ptr<SyncPoint> sync;
-};
-
-/// Completion latch for the shard workers.
-struct ShardLatch {
-  std::mutex mu;
-  std::condition_variable cv;
-  int pending;
-
-  explicit ShardLatch(int n) : pending(n) {}
-  void Done() {
-    std::lock_guard<std::mutex> lock(mu);
-    if (--pending == 0) cv.notify_all();
-  }
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [this] { return pending == 0; });
-  }
-};
+/// Affinity splitter sizing for S shards: it is fitted on the first
+/// max(kSplitterSampleFloor, kSplitterSamplePerShard * S) stream points
+/// (dealt round-robin meanwhile) and has
+/// min(kSplitterCentersPerShard * S, kSplitterMaxCenters) centers, at
+/// least one per shard.
+constexpr size_t kSplitterSampleFloor = 1024;
+constexpr size_t kSplitterSamplePerShard = 256;
+constexpr size_t kSplitterCentersPerShard = 4;
+constexpr size_t kSplitterMaxCenters = 64;
 
 /// Divides the run's total budgets across `shards` builders. Each
 /// shard keeps at least the minimum viable slice (4 pages of memory,
@@ -111,32 +64,92 @@ void MergeStats(const Phase1Stats& in, Phase1Stats* out) {
   out->forced_inserts += in.forced_inserts;
 }
 
-uint64_t SplitMix64(uint64_t* s) {
-  uint64_t z = (*s += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+void MergeRobustness(const RobustnessStats& in, RobustnessStats* out) {
+  out->transient_io_errors += in.transient_io_errors;
+  out->io_retries += in.io_retries;
+  out->simulated_backoff_us += in.simulated_backoff_us;
+  out->checksum_failures += in.checksum_failures;
+  out->pages_lost += in.pages_lost;
+  out->records_lost += in.records_lost;
+  out->degradation_events += in.degradation_events;
+  out->fallback_absorbed += in.fallback_absorbed;
+  out->fallback_dropped += in.fallback_dropped;
+  out->outlier_disk_disabled |= in.outlier_disk_disabled;
 }
 
+void AddIo(const IoStats& in, IoStats* out) {
+  out->pages_written += in.pages_written;
+  out->pages_read += in.pages_read;
+  out->raw_bytes_written += in.raw_bytes_written;
+  out->stored_bytes_written += in.stored_bytes_written;
+  out->hot_hits += in.hot_hits;
+  out->hot_misses += in.hot_misses;
+  out->hot_demotions += in.hot_demotions;
+}
+
+}  // namespace
+
+/// Countdown latch: the workers' end-of-stream join, and the quiesce
+/// marker each shard counts down once it has consumed everything dealt
+/// before it. The mutex hand-off publishes the workers' writes to the
+/// waiting dealer. A shard that has counted a quiesce marker down only
+/// touches its builder again after the dealer's next Push, so the
+/// dealer may read every builder until then.
+struct Phase1Ingest::Latch {
+  std::mutex mu;
+  std::condition_variable cv;
+  int pending;
+
+  explicit Latch(int n) : pending(n) {}
+  void CountDown() {
+    std::lock_guard<std::mutex> lock(mu);
+    if (--pending == 0) cv.notify_all();
+  }
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [this] { return pending == 0; });
+  }
+};
+
+/// One hand-off unit: `xs` holds the batch's points row-major. A batch
+/// with `drained` set carries no points — it is a quiesce marker. The
+/// marker is shared: the dealer may stop waiting before the last shard
+/// has fully left CountDown().
+struct Phase1Ingest::PointBatch {
+  std::vector<double> xs;
+  std::vector<double> ws;
+  std::shared_ptr<Latch> drained;
+};
+
+struct Phase1Ingest::Shard {
+  std::unique_ptr<Phase1Builder> builder;
+  // S > 1 only:
+  exec::Channel<PointBatch> channel{kChannelBatches};
+  PointBatch pending;  // being filled by the dealer
+  Status status;       // written by the worker
+};
+
 /// The affinity dealer's top-level splitter: a shallow k-means over
-/// the first `sample_target` stream points. Until the sample is full
-/// the splitter is unarmed (callers deal round-robin and Observe());
-/// arming fits the centers with a seeded init + 4 Lloyd rounds, packs
-/// them onto shards greedily by sample mass (heaviest center to the
-/// least-loaded shard), and from then on Route() sends each point to
-/// the shard owning its nearest center. Everything here is a pure
-/// function of (observed prefix, seed): same stream, same seed, same
-/// shard count => identical routing, on a fresh run or a resume.
-class AffinitySplitter {
+/// the stream's head (sized by the kSplitter* constants). Until the
+/// sample is full the splitter is unarmed (callers deal round-robin
+/// and Observe()); arming fits the centers with a seeded init + 4
+/// Lloyd rounds, packs them onto shards greedily by sample mass
+/// (heaviest center to the least-loaded shard), and from then on
+/// Route() sends each point to the shard owning its nearest center.
+/// Everything here is a pure function of (observed prefix, seed): same
+/// stream, same seed, same shard count => identical routing, on a
+/// fresh run or a resume.
+class Phase1Ingest::AffinitySplitter {
  public:
-  AffinitySplitter(size_t dim, int shards, uint64_t seed,
-                   size_t sample_target, size_t centers_target)
+  AffinitySplitter(size_t dim, int shards, uint64_t seed)
       : dim_(dim),
         shards_(static_cast<size_t>(shards)),
         seed_(seed),
-        sample_target_(std::max<size_t>(1, sample_target)),
-        centers_target_(
-            std::max(std::max<size_t>(1, centers_target), shards_)) {
+        sample_target_(std::max(kSplitterSampleFloor,
+                                kSplitterSamplePerShard * shards_)),
+        centers_target_(std::max(
+            std::min(kSplitterCentersPerShard * shards_, kSplitterMaxCenters),
+            shards_)) {
     sample_.reserve(sample_target_ * dim_);
   }
 
@@ -229,221 +242,248 @@ class AffinitySplitter {
   bool armed_ = false;
 };
 
-void MergeRobustness(const RobustnessStats& in, RobustnessStats* out) {
-  out->transient_io_errors += in.transient_io_errors;
-  out->io_retries += in.io_retries;
-  out->simulated_backoff_us += in.simulated_backoff_us;
-  out->checksum_failures += in.checksum_failures;
-  out->pages_lost += in.pages_lost;
-  out->records_lost += in.records_lost;
-  out->degradation_events += in.degradation_events;
-  out->fallback_absorbed += in.fallback_absorbed;
-  out->fallback_dropped += in.fallback_dropped;
-  out->outlier_disk_disabled |= in.outlier_disk_disabled;
+
+Phase1Ingest::Phase1Ingest(const ShardedPhase1Options& options,
+                           exec::ThreadPool* pool, int shards)
+    : options_(options), pool_(pool), num_shards_(shards) {}
+
+Phase1Ingest::~Phase1Ingest() {
+  if (workers_done_ == nullptr || finished_) return;
+  for (auto& sh : shards_) sh->channel.Close();
+  workers_done_->Wait();
 }
 
-}  // namespace
-
-StatusOr<ShardedPhase1Result> RunShardedPhase1(
-    PointSource* source, const ShardedPhase1Options& options,
-    exec::ThreadPool* pool) {
-  if (pool == nullptr) {
-    return Status::InvalidArgument("sharded Phase 1 needs a thread pool");
-  }
-  const size_t dim = options.phase1.tree.dim;
-  if (source->dim() != dim) {
-    return Status::InvalidArgument("source dimension mismatch");
-  }
-  const int shards =
-      std::clamp(options.num_shards, 1, std::max(1, pool->size()));
-  const size_t batch_points = std::max<size_t>(1, options.batch_points);
-
-  OBS_GAUGE_SET("exec/shards", shards);
-
-  // --- 1. Scan: deal points round-robin to one builder per shard. ---
-  std::vector<std::unique_ptr<Phase1Builder>> builders;
-  std::vector<std::unique_ptr<exec::Channel<PointBatch>>> channels;
-  std::vector<Status> shard_status(static_cast<size_t>(shards));
-  builders.reserve(static_cast<size_t>(shards));
-  channels.reserve(static_cast<size_t>(shards));
-  const Phase1Options shard_opts = ShardOptions(options.phase1, shards);
-  if (options.resume != nullptr &&
-      options.resume->size() != static_cast<size_t>(shards)) {
+StatusOr<std::unique_ptr<Phase1Ingest>> Phase1Ingest::Create(
+    const ShardedPhase1Options& options, exec::ThreadPool* pool,
+    const std::vector<Phase1Freeze>* resume, uint64_t resume_points) {
+  const int max_shards = pool != nullptr ? std::max(1, pool->size()) : 1;
+  const int shards = std::clamp(options.num_shards, 1, max_shards);
+  if (resume != nullptr && resume->size() != static_cast<size_t>(shards)) {
     return Status::InvalidArgument(
-        "sharded checkpoint holds " + std::to_string(options.resume->size()) +
+        "checkpoint holds " + std::to_string(resume->size()) +
         " shards but this run would use " + std::to_string(shards));
   }
+  std::unique_ptr<Phase1Ingest> in(new Phase1Ingest(options, pool, shards));
+  // One shard is the serial builder under the run's full budgets.
+  const Phase1Options shard_opts =
+      shards == 1 ? options.phase1 : ShardOptions(options.phase1, shards);
   for (int s = 0; s < shards; ++s) {
-    if (options.resume != nullptr) {
+    auto sh = std::make_unique<Shard>();
+    if (resume != nullptr) {
       auto b_or = Phase1Builder::Thaw(shard_opts,
-                                      (*options.resume)[static_cast<size_t>(s)]);
+                                      (*resume)[static_cast<size_t>(s)]);
       if (!b_or.ok()) return b_or.status();
-      builders.push_back(std::move(b_or).ValueOrDie());
+      sh->builder = std::move(b_or).ValueOrDie();
     } else {
-      builders.push_back(std::make_unique<Phase1Builder>(shard_opts));
+      sh->builder = std::make_unique<Phase1Builder>(shard_opts);
     }
-    channels.push_back(
-        std::make_unique<exec::Channel<PointBatch>>(options.channel_capacity));
+    in->shards_.push_back(std::move(sh));
   }
+  in->dealt_ = resume_points;
+  if (shards == 1) return in;
 
-  ShardLatch latch(shards);
-  for (int s = 0; s < shards; ++s) {
-    Phase1Builder* builder = builders[static_cast<size_t>(s)].get();
-    exec::Channel<PointBatch>* ch = channels[static_cast<size_t>(s)].get();
-    Status* st = &shard_status[static_cast<size_t>(s)];
-    pool->Submit([builder, ch, st, &latch] {
+  OBS_GAUGE_SET("exec/shards", shards);
+  if (options.dealing == DealingMode::kAffinity) {
+    in->splitter_ = std::make_unique<AffinitySplitter>(
+        options.phase1.tree.dim, shards, options.splitter_seed);
+  }
+  in->scan_span_.emplace("phase1/scan");
+  in->workers_done_ = std::make_unique<Latch>(shards);
+  for (auto& sh_ptr : in->shards_) {
+    Shard* sh = sh_ptr.get();
+    Latch* done = in->workers_done_.get();
+    pool->Submit([sh, done] {
       obs::SpanScope span("phase1/shard");
       PointBatch batch;
       // After a failure keep draining: a stalled consumer would wedge
-      // the reader on a full channel.
-      while (ch->Pop(&batch)) {
-        if (batch.sync != nullptr) {
-          // Checkpoint barrier. Arrive even after a failure — the
+      // the dealer on a full channel.
+      while (sh->channel.Pop(&batch)) {
+        if (batch.drained != nullptr) {
+          // Quiesce marker. Count down even after a failure — the
           // dealer is waiting on every shard.
-          batch.sync->Arrive();
+          batch.drained->CountDown();
           continue;
         }
-        if (!st->ok()) continue;
+        if (!sh->status.ok()) continue;
         // Whole-batch ingest: arithmetic-identical to a per-point Add
         // loop, one validated call per hand-off unit.
-        *st = builder->AddBatch(batch.xs, batch.ws.size(), batch.ws);
+        sh->status =
+            sh->builder->AddBatch(batch.xs, batch.ws.size(), batch.ws);
       }
-      if (st->ok()) *st = builder->Finish();
-      latch.Done();
+      if (sh->status.ok()) sh->status = sh->builder->Finish();
+      done->CountDown();
     });
   }
+  return in;
+}
 
-  // Affinity dealing: the splitter routes once armed; during warmup
-  // (and under kRoundRobin, or with one shard where routing is moot)
-  // point i goes to shard i mod S.
-  std::unique_ptr<AffinitySplitter> splitter;
-  if (options.dealing == DealingMode::kAffinity && shards > 1) {
-    const size_t sample_target =
-        options.affinity_sample > 0
-            ? options.affinity_sample
-            : std::max<size_t>(1024, 256 * static_cast<size_t>(shards));
-    const size_t centers_target =
-        options.affinity_centers > 0
-            ? options.affinity_centers
-            : std::min<size_t>(4 * static_cast<size_t>(shards), 64);
-    splitter = std::make_unique<AffinitySplitter>(
-        dim, shards, options.splitter_seed, sample_target, centers_target);
+uint64_t Phase1Ingest::points() const {
+  return num_shards_ == 1 ? shards_[0]->builder->stats().points_added
+                          : dealt_;
+}
+
+Status Phase1Ingest::AddBatch(std::span<const double> xs, size_t n,
+                              std::span<const double> weights) {
+  if (finished_) {
+    return Status::FailedPrecondition("AddBatch() after Finish()");
   }
-
-  Status deal_status;
-  {
-    TRACE_SPAN("phase1/scan");
-    std::vector<PointBatch> pending(static_cast<size_t>(shards));
-    kernel::Workspace route_ws;
-    std::vector<double> p(dim);
-    double w = 1.0;
-    uint64_t i = 0;
-    // Resume: skip what the checkpointed run already consumed; dealing
-    // continues at the original index — and the affinity splitter is
-    // re-fitted from the skipped prefix — so shard assignment matches
-    // the uninterrupted run point for point.
-    while (i < options.resume_skip_points && source->Next(p, &w)) {
-      if (splitter != nullptr && !splitter->armed()) splitter->Observe(p);
-      ++i;
+  if (num_shards_ == 1) return shards_[0]->builder->AddBatch(xs, n, weights);
+  const size_t dim = options_.phase1.tree.dim;
+  BIRCH_RETURN_IF_ERROR(ValidateBatch(dim, xs, n, weights));
+  const uint64_t shards = static_cast<uint64_t>(num_shards_);
+  for (size_t j = 0; j < n; ++j) {
+    std::span<const double> p = xs.subspan(j * dim, dim);
+    size_t s;
+    if (splitter_ != nullptr && splitter_->armed()) {
+      s = splitter_->Route(p, &route_ws_);
+    } else {
+      s = static_cast<size_t>(dealt_ % shards);
+      // The point that completes the sample is still dealt round-
+      // robin; affinity routing starts at the next one.
+      if (splitter_ != nullptr) splitter_->Observe(p);
     }
-    if (i < options.resume_skip_points) {
-      deal_status = Status::InvalidArgument(
-          "source ended before the checkpoint's resume offset (" +
-          std::to_string(i) + " < " +
-          std::to_string(options.resume_skip_points) +
-          "); pass the same stream the checkpointed run consumed");
+    PointBatch& b = shards_[s]->pending;
+    b.xs.insert(b.xs.end(), p.begin(), p.end());
+    b.ws.push_back(weights.empty() ? 1.0 : weights[j]);
+    if (b.ws.size() >= kBatchPoints) {
+      shards_[s]->channel.Push(std::move(b));
+      b = PointBatch{};
     }
-    while (deal_status.ok() && source->Next(p, &w)) {
-      size_t s;
-      if (splitter != nullptr && splitter->armed()) {
-        s = splitter->Route(p, &route_ws);
-      } else {
-        s = static_cast<size_t>(i % static_cast<uint64_t>(shards));
-        // The point that completes the sample is still dealt round-
-        // robin; affinity routing starts at the next one.
-        if (splitter != nullptr) splitter->Observe(p);
-      }
-      PointBatch& b = pending[s];
-      b.xs.insert(b.xs.end(), p.begin(), p.end());
-      b.ws.push_back(w);
-      if (b.ws.size() >= batch_points) {
-        channels[s]->Push(std::move(b));
-        b = PointBatch{};
-      }
-      ++i;
-      const bool do_checkpoint = options.checkpoint_every_n > 0 &&
-                                 options.on_checkpoint &&
-                                 i % options.checkpoint_every_n == 0;
-      const bool do_publish = options.publish_every_n > 0 &&
-                              options.on_publish &&
-                              i % options.publish_every_n == 0;
-      if (do_checkpoint || do_publish) {
-        // Quiesce: flush partial batches so every dealt point is in its
-        // shard's channel, then park all workers at a barrier. FIFO
-        // channels guarantee each worker consumed everything before the
-        // marker by the time it arrives.
-        TRACE_SPAN("phase1/quiesce");
-        for (int q = 0; q < shards; ++q) {
-          PointBatch& pb = pending[static_cast<size_t>(q)];
-          if (!pb.ws.empty()) {
-            channels[static_cast<size_t>(q)]->Push(std::move(pb));
-            pb = PointBatch{};
-          }
-        }
-        auto sync = std::make_shared<SyncPoint>(shards);
-        for (int q = 0; q < shards; ++q) {
-          PointBatch marker;
-          marker.sync = sync;
-          channels[static_cast<size_t>(q)]->Push(std::move(marker));
-        }
-        sync->AwaitAll();
-        // Workers are parked; their builders and statuses are safe to
-        // read. Don't checkpoint or publish from a failed run.
-        for (const Status& st : shard_status) {
-          if (!st.ok()) deal_status = st;
-        }
-        if (deal_status.ok() && do_checkpoint) {
-          deal_status = options.on_checkpoint(i, &builders);
-        }
-        if (deal_status.ok() && do_publish) {
-          deal_status = options.on_publish(i, &builders);
-        }
-        sync->Release();
-      }
-    }
-    for (int s = 0; s < shards; ++s) {
-      if (!pending[static_cast<size_t>(s)].ws.empty()) {
-        channels[static_cast<size_t>(s)]->Push(
-            std::move(pending[static_cast<size_t>(s)]));
-      }
-      channels[static_cast<size_t>(s)]->Close();
-    }
-    latch.Wait();
+    ++dealt_;
   }
-  BIRCH_RETURN_IF_ERROR(deal_status);
-  for (const Status& st : shard_status) BIRCH_RETURN_IF_ERROR(st);
+  return Status::OK();
+}
 
-  ShardedPhase1Result result;
-  for (int s = 0; s < shards; ++s) {
-    const Phase1Builder& b = *builders[static_cast<size_t>(s)];
-    MergeStats(b.stats(), &result.stats);
-    MergeRobustness(b.robustness(), &result.robustness);
-    result.disk_pages_written += b.disk().io_stats().pages_written;
-    result.disk_pages_read += b.disk().io_stats().pages_read;
-    result.disk_raw_bytes += b.disk().io_stats().raw_bytes_written;
-    result.disk_stored_bytes += b.disk().io_stats().stored_bytes_written;
-    result.disk_hot_hits += b.disk().io_stats().hot_hits;
-    result.disk_hot_misses += b.disk().io_stats().hot_misses;
-    result.disk_hot_demotions += b.disk().io_stats().hot_demotions;
-    result.peak_memory_bytes += b.memory().peak();
-    if (obs::Enabled()) {
-      obs::Registry::Default()
-          .GetGauge("exec/shard" + std::to_string(s) + "/points")
-          .Set(static_cast<double>(b.stats().points_added));
+Status Phase1Ingest::SkipPrefix(PointSource* source, uint64_t n) {
+  std::vector<double> p(options_.phase1.tree.dim);
+  double w = 1.0;
+  uint64_t i = 0;
+  while (i < n && source->Next(p, &w)) {
+    if (splitter_ != nullptr && !splitter_->armed()) splitter_->Observe(p);
+    ++i;
+  }
+  if (i < n) {
+    return Status::InvalidArgument(
+        "source ended before the checkpoint's resume offset (" +
+        std::to_string(i) + " < " + std::to_string(n) +
+        "); pass the same stream the checkpointed run consumed");
+  }
+  return Status::OK();
+}
+
+void Phase1Ingest::FlushPending() {
+  for (auto& sh : shards_) {
+    if (!sh->pending.ws.empty()) {
+      sh->channel.Push(std::move(sh->pending));
+      sh->pending = PointBatch{};
     }
   }
+}
 
-  // --- 2. Pairwise fold of the shard trees (CF additivity makes the
+Status Phase1Ingest::Quiesce() {
+  if (num_shards_ == 1) return Status::OK();
+  // FIFO channels: a shard reaches the marker only after consuming
+  // everything dealt before it.
+  TRACE_SPAN("phase1/quiesce");
+  FlushPending();
+  auto drained = std::make_shared<Latch>(num_shards_);
+  for (auto& sh : shards_) {
+    PointBatch marker;
+    marker.drained = drained;
+    sh->channel.Push(std::move(marker));
+  }
+  drained->Wait();
+  for (const auto& sh : shards_) BIRCH_RETURN_IF_ERROR(sh->status);
+  return Status::OK();
+}
+
+Status Phase1Ingest::View(const std::function<Status(const CfTree&)>& fn) {
+  if (finished_) return fn(*final_tree_);
+  BIRCH_RETURN_IF_ERROR(Quiesce());
+  if (num_shards_ == 1) return fn(shards_[0]->builder->tree());
+  // Merge the drained shard trees into a transient union (CF
+  // additivity; unlimited transient tracker — the copy lives only for
+  // the duration of `fn`).
+  MemoryTracker mem(0);
+  CfTreeOptions union_opts = options_.phase1.tree;
+  for (const auto& sh : shards_) {
+    union_opts.threshold =
+        std::max(union_opts.threshold, sh->builder->tree().threshold());
+  }
+  CfTree merged(union_opts, &mem);
+  for (const auto& sh : shards_) merged.AbsorbTree(sh->builder->tree());
+  return fn(merged);
+}
+
+StatusOr<std::vector<Phase1Freeze>> Phase1Ingest::Freeze() {
+  if (finished_) {
+    return Status::FailedPrecondition("Freeze() after Finish()");
+  }
+  BIRCH_RETURN_IF_ERROR(Quiesce());
+  std::vector<Phase1Freeze> freezes;
+  freezes.reserve(shards_.size());
+  for (auto& sh : shards_) {
+    auto f_or = sh->builder->Freeze();
+    if (!f_or.ok()) return f_or.status();
+    freezes.push_back(std::move(f_or).ValueOrDie());
+  }
+  return freezes;
+}
+
+const CfTree& Phase1Ingest::tree() const {
+  return final_tree_ != nullptr ? *final_tree_ : shards_[0]->builder->tree();
+}
+
+const Phase1Stats& Phase1Ingest::stats() const {
+  return finished_ ? final_stats_ : shards_[0]->builder->stats();
+}
+
+StatusOr<Phase1Outcome> Phase1Ingest::Finish() {
+  if (finished_) return Status::FailedPrecondition("Finish() called twice");
+  finished_ = true;
+  const bool sharded = num_shards_ > 1;
+  if (sharded) {
+    FlushPending();
+    for (auto& sh : shards_) sh->channel.Close();
+    workers_done_->Wait();
+    scan_span_.reset();
+    for (const auto& sh : shards_) BIRCH_RETURN_IF_ERROR(sh->status);
+  } else {
+    BIRCH_RETURN_IF_ERROR(shards_[0]->builder->Finish());
+  }
+
+  Phase1Outcome out;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const Phase1Builder& b = *shards_[s]->builder;
+    MergeStats(b.stats(), &out.stats);
+    MergeRobustness(b.robustness(), &out.robustness);
+    AddIo(b.disk().io_stats(), &out.disk);
+    if (sharded) {
+      out.shard_peak_bytes += b.memory().peak();
+      if (obs::Enabled()) {
+        obs::Registry::Default()
+            .GetGauge("exec/shard" + std::to_string(s) + "/points")
+            .Set(static_cast<double>(b.stats().points_added));
+      }
+    }
+  }
+  if (sharded) {
+    BIRCH_RETURN_IF_ERROR(MergeShards(&out));
+  } else {
+    Phase1Builder* b = shards_[0]->builder.get();
+    final_tree_ = b->mutable_tree();
+    out.mem = &b->memory();
+    out.final_outliers = &b->final_outliers();
+  }
+  out.tree = final_tree_;
+  out.stats.final_threshold = final_tree_->threshold();
+  final_stats_ = out.stats;
+  return out;
+}
+
+Status Phase1Ingest::MergeShards(Phase1Outcome* out) {
+  const Phase1Options& total = options_.phase1;
+  // --- 1. Pairwise fold of the shard trees (CF additivity makes the
   // merge exact at subcluster granularity). Each round merges disjoint
   // pairs in parallel; the destination is the pair member with the
   // larger threshold so absorbed entries never face a tighter bound
@@ -451,13 +491,13 @@ StatusOr<ShardedPhase1Result> RunShardedPhase1(
   {
     TRACE_SPAN("phase1/merge_shards");
     std::vector<CfTree*> active;
-    active.reserve(static_cast<size_t>(shards));
-    for (auto& b : builders) active.push_back(b->mutable_tree());
+    active.reserve(shards_.size());
+    for (auto& sh : shards_) active.push_back(sh->builder->mutable_tree());
     while (active.size() > 1) {
       const size_t pairs = active.size() / 2;
       std::vector<CfTree*> next(pairs + active.size() % 2);
       exec::ParallelFor(
-          pool, pairs,
+          pool_, pairs,
           [&](size_t begin, size_t end, size_t) {
             for (size_t j = begin; j < end; ++j) {
               CfTree* a = active[2 * j];
@@ -473,37 +513,35 @@ StatusOr<ShardedPhase1Result> RunShardedPhase1(
       active = std::move(next);
     }
 
-    // --- 3. Re-home the fold into a tree charged against the *total*
+    // --- Re-home the fold into a tree charged against the *total*
     // memory budget (the per-shard trackers each only carry 1/S). ---
-    result.mem =
-        std::make_unique<MemoryTracker>(options.phase1.memory_budget_bytes);
-    CfTreeOptions merged_opts = options.phase1.tree;
+    merged_mem_ = std::make_unique<MemoryTracker>(total.memory_budget_bytes);
+    CfTreeOptions merged_opts = total.tree;
     merged_opts.threshold = active[0]->threshold();
-    result.tree = std::make_unique<CfTree>(merged_opts, result.mem.get());
-    result.tree->AbsorbTree(*active[0]);
+    merged_tree_ = std::make_unique<CfTree>(merged_opts, merged_mem_.get());
+    merged_tree_->AbsorbTree(*active[0]);
   }
 
-  // --- 4. Threshold-consistency reabsorb pass. ---
+  // --- 2. Threshold-consistency reabsorb pass. ---
   TRACE_SPAN("phase1/merge_reabsorb");
+  CfTree* tree = merged_tree_.get();
   std::vector<CfVector> shed;
-  if (result.tree->over_budget()) {
-    ThresholdHeuristic heuristic(dim, result.stats.points_added);
+  if (tree->over_budget()) {
+    ThresholdHeuristic heuristic(total.tree.dim, out->stats.points_added);
     int guard = 0;
     do {
-      double t_next =
-          heuristic.SuggestNext(*result.tree, result.stats.points_added);
+      double t_next = heuristic.SuggestNext(*tree, out->stats.points_added);
       double outlier_n = 0.0;
-      if (options.phase1.outlier_handling &&
-          result.tree->leaf_entry_count() > 0) {
-        double avg = result.tree->TreeSummary().n() /
-                     static_cast<double>(result.tree->leaf_entry_count());
-        outlier_n = options.phase1.outlier_fraction * avg;
+      if (total.outlier_handling && tree->leaf_entry_count() > 0) {
+        double avg = tree->TreeSummary().n() /
+                     static_cast<double>(tree->leaf_entry_count());
+        outlier_n = total.outlier_fraction * avg;
       }
-      result.tree->Rebuild(t_next, outlier_n, &shed);
-      ++result.stats.rebuilds;
+      tree->Rebuild(t_next, outlier_n, &shed);
+      ++out->stats.rebuilds;
       OBS_COUNTER_INC("phase1/rebuilds");
-    } while (result.tree->over_budget() && ++guard < 16);
-    if (result.tree->over_budget()) {
+    } while (tree->over_budget() && ++guard < 16);
+    if (tree->over_budget()) {
       return Status::OutOfMemory(
           "memory budget unattainable after merging shard trees");
     }
@@ -512,22 +550,24 @@ StatusOr<ShardedPhase1Result> RunShardedPhase1(
   // get one absorb-only retry against the union; a genuine outlier
   // must still not re-enter the tree as a fresh entry (Sec. 5.1.4).
   auto reabsorb = [&](const CfVector& e) {
-    if (result.tree->InsertEntry(e, InsertMode::kAbsorbOnly) !=
+    if (tree->InsertEntry(e, InsertMode::kAbsorbOnly) !=
         InsertOutcome::kRejected) {
-      ++result.stats.outlier_entries_reabsorbed;
+      ++out->stats.outlier_entries_reabsorbed;
       OBS_COUNTER_INC("phase1/outliers_reabsorbed");
     } else {
-      result.final_outliers.push_back(e);
+      merged_outliers_.push_back(e);
     }
   };
-  for (auto& b : builders) {
-    for (const CfVector& e : b->final_outliers()) reabsorb(e);
+  for (auto& sh : shards_) {
+    for (const CfVector& e : sh->builder->final_outliers()) reabsorb(e);
   }
   for (const CfVector& e : shed) reabsorb(e);
 
-  builders.clear();  // release the shard trees and trackers
-  result.stats.final_threshold = result.tree->threshold();
-  return result;
+  shards_.clear();  // release the shard trees and trackers
+  final_tree_ = tree;
+  out->mem = merged_mem_.get();
+  out->final_outliers = &merged_outliers_;
+  return Status::OK();
 }
 
 }  // namespace birch

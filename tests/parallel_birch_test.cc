@@ -1,14 +1,19 @@
 // Parallel pipeline properties: the sharded Phase-1 build conserves CF
 // mass exactly against the serial build for every shard count, the
 // end-to-end parallel run matches the reproduction-test quality bars,
-// results are deterministic for a fixed (seed, num_threads), and
-// num_threads is validated. Runs under TSan as parallel_birch_test.tsan
-// — the whole pipeline is the race-hunt surface.
+// results are deterministic for a fixed (seed, num_threads), every
+// ingest entry point shards alike (one thread is the serial pipeline),
+// and num_threads is validated. Runs under TSan as
+// parallel_birch_test.tsan — the whole pipeline is the race-hunt
+// surface.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "birch/birch.h"
+#include "birch/checkpoint.h"
 #include "birch/phase1_parallel.h"
 #include "datagen/generator.h"
 #include "datagen/paper_datasets.h"
@@ -59,13 +64,17 @@ TEST(ParallelBirchTest, ShardMergeConservesCfTotals) {
       opts.phase1 = UnboundedPhase1(data.dim(), 0.7);
       opts.num_shards = shards;
       opts.dealing = dealing;
-      DatasetSource source(&data);
-      auto result_or = RunShardedPhase1(&source, opts, &pool);
+      auto ingest_or = Phase1Ingest::Create(opts, &pool);
+      ASSERT_TRUE(ingest_or.ok()) << ingest_or.status().message();
+      Phase1Ingest& ingest = *ingest_or.value();
+      ASSERT_TRUE(
+          ingest.AddBatch(data.Values(), data.size(), data.Weights()).ok());
+      auto result_or = ingest.Finish();
       ASSERT_TRUE(result_or.ok()) << result_or.status().message();
-      const auto& r = result_or.value();
+      const Phase1Outcome& r = result_or.value();
 
       CfVector got = r.tree->TreeSummary();
-      for (const auto& e : r.final_outliers) got.Add(e);
+      for (const auto& e : *r.final_outliers) got.Add(e);
       const char* mode = DealingModeName(dealing);
       // N is a sum of unit weights: exact in either insertion order.
       EXPECT_EQ(got.n(), want.n()) << mode << " shards=" << shards;
@@ -207,6 +216,105 @@ TEST(ParallelBirchTest, ClusterSourceParallelMatchesItself) {
     EXPECT_EQ(a.value().centroids[c], b.value().centroids[c]);
   }
   EXPECT_GT(a.value().centroids.size(), 0u);
+}
+
+void ExpectSameRun(const BirchResult& a, const BirchResult& b) {
+  EXPECT_EQ(a.labels, b.labels);
+  EXPECT_EQ(a.centroids, b.centroids);
+  EXPECT_EQ(a.final_threshold, b.final_threshold);
+  EXPECT_EQ(a.phase1.points_added, b.phase1.points_added);
+  EXPECT_EQ(a.outlier_points, b.outlier_points);
+}
+
+// Streaming ingest feeds the same sharded Phase 1 that Cluster()
+// drains into: points added before Cluster() are part of the run.
+TEST(ParallelBirchTest, StreamedPointsReachShardedCluster) {
+  auto gen = GeneratePaperDataset(PaperDataset::kDS1, 25, 100);
+  ASSERT_TRUE(gen.ok());
+  const auto& data = gen.value().data;
+  auto c = BirchClusterer::Create(PaperOpts(25, 2));
+  ASSERT_TRUE(c.ok());
+  ASSERT_TRUE(c.value()->AddDataset(data).ok());
+  DatasetSource src(&data);
+  auto r = c.value()->Cluster(&src, nullptr);
+  ASSERT_TRUE(r.ok()) << r.status().message();
+  const uint64_t n = 2 * data.size();
+  EXPECT_EQ(r.value().phase1.points_added, n);
+  const uint64_t tree_n =
+      static_cast<uint64_t>(std::llround(c.value()->tree().TreeSummary().n()));
+  EXPECT_EQ(tree_n + r.value().outlier_points, n);
+}
+
+// One shard is the serial build: no fold, no re-home, no retry pass,
+// and a one-worker pool runs Phases 3-4 as one inline chunk.
+TEST(ParallelBirchTest, OneThreadIsTheSerialPipeline) {
+  auto gen = GeneratePaperDataset(PaperDataset::kDS2, 25, 200);
+  ASSERT_TRUE(gen.ok());
+  const auto& data = gen.value().data;
+  auto serial = ClusterDataset(data, PaperOpts(25, 0));
+  auto one = ClusterDataset(data, PaperOpts(25, 1));
+  ASSERT_TRUE(serial.ok()) << serial.status().message();
+  ASSERT_TRUE(one.ok()) << one.status().message();
+  ExpectSameRun(serial.value(), one.value());
+}
+
+// num_threads means the same on every ingest entry point: streaming
+// AddDataset() + Finish() shards exactly like Cluster().
+TEST(ParallelBirchTest, StreamingIngestShardsLikeCluster) {
+  auto gen = GeneratePaperDataset(PaperDataset::kDS1, 25, 200);
+  ASSERT_TRUE(gen.ok());
+  const auto& data = gen.value().data;
+  const BirchOptions o = PaperOpts(25, 4);
+  auto streamed_c = BirchClusterer::Create(o);
+  ASSERT_TRUE(streamed_c.ok());
+  ASSERT_TRUE(streamed_c.value()->AddDataset(data).ok());
+  auto streamed = streamed_c.value()->Finish(&data);
+  ASSERT_TRUE(streamed.ok()) << streamed.status().message();
+
+  auto whole_c = BirchClusterer::Create(o);
+  ASSERT_TRUE(whole_c.ok());
+  DatasetSource src(&data);
+  auto whole = whole_c.value()->Cluster(&src, &data);
+  ASSERT_TRUE(whole.ok()) << whole.status().message();
+  ExpectSameRun(streamed.value(), whole.value());
+}
+
+// A mid-stream SaveCheckpoint() with several shards writes one freeze
+// per shard, the same options restore it, and resuming through
+// Cluster() on the full stream reproduces the uninterrupted run.
+TEST(ParallelBirchTest, MidStreamShardedCheckpointRestores) {
+  auto gen = GeneratePaperDataset(PaperDataset::kDS1, 25, 100);
+  ASSERT_TRUE(gen.ok());
+  const auto& data = gen.value().data;
+  const BirchOptions o = PaperOpts(25, 2);
+  auto want_c = BirchClusterer::Create(o);
+  ASSERT_TRUE(want_c.ok());
+  ASSERT_TRUE(want_c.value()->AddDataset(data).ok());
+  auto want = want_c.value()->Finish(&data);
+  ASSERT_TRUE(want.ok()) << want.status().message();
+
+  const std::string path = testing::TempDir() + "/mid_stream_sharded.birch";
+  const size_t cut = data.size() / 3;
+  {
+    auto c = BirchClusterer::Create(o);
+    ASSERT_TRUE(c.ok());
+    ASSERT_TRUE(
+        c.value()->AddBatch(data.Values().subspan(0, cut * data.dim()), cut)
+            .ok());
+    ASSERT_TRUE(c.value()->SaveCheckpoint(path).ok());
+  }
+  auto img = ReadCheckpointFile(path);
+  ASSERT_TRUE(img.ok()) << img.status().ToString();
+  EXPECT_EQ(img.value().shard_count, 2u);
+  EXPECT_EQ(img.value().points_ingested, cut);
+
+  auto restored = BirchClusterer::Restore(path, o);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  DatasetSource src(&data);
+  auto got = restored.value()->Cluster(&src, &data);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectSameRun(want.value(), got.value());
+  std::remove(path.c_str());
 }
 
 TEST(ParallelBirchTest, NumThreadsValidated) {

@@ -329,6 +329,14 @@ TEST_F(TelemetryTest, OptionsFingerprintTracksBehaviorNotTelemetry) {
   b = SmallOptions(8);
   b.resources.memory_bytes += 1024;
   EXPECT_NE(OptionsFingerprint(a), OptionsFingerprint(b));
+  // Shard routing is part of the (seed, num_threads, splitter_seed)
+  // determinism contract.
+  b = SmallOptions(8);
+  b.exec.dealing = DealingMode::kRoundRobin;
+  EXPECT_NE(OptionsFingerprint(a), OptionsFingerprint(b));
+  b = SmallOptions(8);
+  b.exec.splitter_seed += 1;
+  EXPECT_NE(OptionsFingerprint(a), OptionsFingerprint(b));
 }
 
 TEST_F(TelemetryTest, ValidateRejectsZeroSeriesCapacity) {
