@@ -13,8 +13,12 @@
 // unlimited baseline. The committed --json output feeds the
 // tools/bench_diff perf gates; in addition the bench itself exits
 // nonzero (full mode) if the Phase-1 codec-on slowdown at the paper
-// default R exceeds 20% — the ROADMAP success metric.
+// default R exceeds 20% — the ROADMAP success metric — and (every mode)
+// if any codec-on row that wrote pages stored more bytes than it was
+// presented: a compression ratio below 1 breaks the store's contract
+// (DESIGN.md §14).
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -33,6 +37,19 @@ double Ratio(uint64_t raw, uint64_t stored) {
                     : 1.0;
 }
 
+// Flags a codec-on row that wrote pages yet reports a compression ratio
+// below 1: the store keeps a page raw whenever the codec cannot shrink
+// it, so stored bytes never exceed raw bytes.
+void CheckRatio(const char* row, PageCodecKind codec, uint64_t pages_written,
+                double ratio, bool* ratio_below_one) {
+  if (codec == PageCodecKind::kNone || pages_written == 0 || ratio >= 1.0) {
+    return;
+  }
+  std::fprintf(stderr, "FAIL: %s stored more than raw (ratio %.4f < 1)\n",
+               row, ratio);
+  *ratio_below_one = true;
+}
+
 double HitRate(uint64_t hits, uint64_t misses) {
   uint64_t total = hits + misses;
   return total > 0 ? static_cast<double>(hits) / static_cast<double>(total)
@@ -42,7 +59,8 @@ double HitRate(uint64_t hits, uint64_t misses) {
 // --- Leg 1: R sweep x {raw, delta-rle} on noisy DS1. ---
 
 int RunSweep(const GeneratedData& g, bool smoke, bench::JsonRows* json,
-             CsvWriter* csv, double* phase1_raw_s, double* phase1_codec_s) {
+             CsvWriter* csv, double* phase1_raw_s, double* phase1_codec_s,
+             bool* ratio_below_one) {
   std::printf(
       "E12 / Sec. 5.1.4 extension: outlier-disk budget sweep on a "
       "noisy DS1 variant\n(graceful degradation as R shrinks; paper "
@@ -80,6 +98,10 @@ int RunSweep(const GeneratedData& g, bool smoke, bench::JsonRows* json,
       const Phase1Stats& s = res.phase1;
       const double ratio = Ratio(res.disk_raw_bytes, res.disk_stored_bytes);
       const double hit_rate = HitRate(res.disk_hot_hits, res.disk_hot_misses);
+      const std::string row_name = "r-sweep R=" + std::to_string(r_kb) +
+                                   "KB codec=" + PageCodecName(codec);
+      CheckRatio(row_name.c_str(), codec, res.disk_pages_written, ratio,
+                 ratio_below_one);
       if (r_kb == 16) {
         (codec == PageCodecKind::kNone ? *phase1_raw_s : *phase1_codec_s) =
             res.timings.phase1;
@@ -152,7 +174,8 @@ StatusOr<double> SkewedReads(PageStore* store, size_t num_pages,
   return timer.Seconds();
 }
 
-int RunMemoryWall(bool smoke, bench::JsonRows* json, CsvWriter* csv) {
+int RunMemoryWall(bool smoke, bench::JsonRows* json, CsvWriter* csv,
+                  bool* ratio_below_one) {
   std::printf(
       "\nE19 / ROADMAP item 2: CF tree >= 4x the DRAM hot budget, served "
       "from the\ncompressed tiered store (80/20 hot-set reads) vs an "
@@ -210,6 +233,7 @@ int RunMemoryWall(bool smoke, bench::JsonRows* json, CsvWriter* csv) {
     const IoStats& io = store.io_stats();
     const double ratio = Ratio(io.raw_bytes_written, io.stored_bytes_written);
     const double hit_rate = HitRate(io.hot_hits, io.hot_misses);
+    CheckRatio(v.name, v.codec, io.pages_written, ratio, ratio_below_one);
     const double multiple =
         static_cast<double>(raw_bytes) /
         static_cast<double>(v.hot > 0 ? v.hot : raw_bytes);
@@ -273,10 +297,11 @@ int Run(int argc, char** argv) {
 
   double phase1_raw_s = 0.0;
   double phase1_codec_s = 0.0;
+  bool ratio_below_one = false;
   int rc = RunSweep(gen.value(), smoke, &json, &csv, &phase1_raw_s,
-                    &phase1_codec_s);
+                    &phase1_codec_s, &ratio_below_one);
   if (rc != 0) return rc;
-  rc = RunMemoryWall(smoke, &json, &csv);
+  rc = RunMemoryWall(smoke, &json, &csv, &ratio_below_one);
   if (rc != 0) return rc;
 
   bench::MaybeWriteCsv(csv, bench::CsvPathFromArgs(argc, argv));
@@ -298,7 +323,7 @@ int Run(int argc, char** argv) {
       return 1;
     }
   }
-  return 0;
+  return ratio_below_one ? 1 : 0;
 }
 
 }  // namespace

@@ -71,8 +71,9 @@ struct BirchResult {
   uint64_t disk_pages_written = 0;
   uint64_t disk_pages_read = 0;
   /// Outlier-disk compression/tier accounting (all zero when
-  /// resources.page_codec == kNone): raw page bytes presented vs
-  /// envelope bytes stored, and hot-tier traffic. The effective
+  /// resources.page_codec == kNone): raw page bytes presented vs bytes
+  /// stored (envelopes, or raw pages the codec could not shrink, so
+  /// stored <= raw), and hot-tier traffic. The effective
   /// compression ratio is disk_raw_bytes / disk_stored_bytes.
   uint64_t disk_raw_bytes = 0;
   uint64_t disk_stored_bytes = 0;

@@ -13,8 +13,12 @@
 //     -> byte-plane shuffle (transpose)            (gathers the now-
 //        mostly-zero sign/exponent/high-mantissa bytes into long runs)
 //     -> entropy stage (pluggable; built-in: zero run-length coding)
-//     -> raw fallback when the pipeline does not beat the input, so the
-//        stored size never exceeds raw + envelope header (ratio >= 1).
+//     -> raw fallback when the pipeline does not beat the input, so an
+//        envelope never exceeds raw + envelope header.
+//
+// The PageStore keeps an envelope only when it is shorter than the page
+// and stores the raw page image otherwise, so a stored page never
+// exceeds page_size and the store's compression ratio is >= 1.
 //
 // Envelope layout (little-endian), CRC32C'd as stored — the checksum
 // covers the *compressed* image, so bit rot inside a compressed payload
@@ -63,8 +67,10 @@ class PageCodec {
 
   /// Compresses `raw` into `*out` (payload only, no envelope). Returns
   /// false when the codec cannot beat storing `raw` verbatim — the
-  /// caller then writes a raw-fallback envelope, which is what makes
-  /// the ratio >= 1 guarantee unconditional.
+  /// caller then writes a raw-fallback envelope, which bounds every
+  /// envelope at raw.size() + kPageEnvelopeHeaderBytes. (The PageStore
+  /// goes one step further and stores such a page raw, without the
+  /// header, which makes its ratio >= 1 guarantee unconditional.)
   virtual bool Encode(std::span<const uint8_t> raw,
                       std::vector<uint8_t>* out) const = 0;
 

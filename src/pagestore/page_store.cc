@@ -33,11 +33,18 @@ size_t PageStore::stored_bytes(PageId id) const {
   return it == pages_.end() ? 0 : it->second.bytes.size();
 }
 
-std::vector<uint8_t> PageStore::EncodeStored(std::span<const uint8_t> raw,
+std::vector<uint8_t> PageStore::EncodeStored(std::vector<uint8_t> raw,
                                              bool* fallback) const {
-  std::vector<uint8_t> stored = EncodePageEnvelope(codec_, raw);
-  *fallback = PageEnvelopeIsRawFallback(stored);
-  return stored;
+  *fallback = false;
+  if (codec_ == PageCodecKind::kNone) return raw;
+  std::vector<uint8_t> envelope = EncodePageEnvelope(codec_, raw);
+  // An envelope is kept only when it is shorter than the page itself.
+  // Otherwise the raw image is stored, exactly as a store without a
+  // codec would, so a page the codec cannot shrink never costs more
+  // than page_size. Read tells the two apart by size.
+  *fallback = envelope.size() >= raw.size();
+  if (*fallback) return raw;
+  return envelope;
 }
 
 void PageStore::HotInsert(PageId id, std::vector<uint8_t> raw) {
@@ -76,13 +83,8 @@ StatusOr<PageId> PageStore::Allocate() {
   // compressed, so allocation only commits the encoded size and the
   // effective page count scales with the compression ratio.
   Page page(0);
-  if (codec_ == PageCodecKind::kNone) {
-    page.bytes.assign(page_size_, 0);
-  } else {
-    bool fallback = false;
-    page.bytes = EncodeStored(std::vector<uint8_t>(page_size_, 0),
-                              &fallback);
-  }
+  bool fallback = false;
+  page.bytes = EncodeStored(std::vector<uint8_t>(page_size_, 0), &fallback);
   page.charge = page.bytes.size();
   if (capacity_bytes_ != 0 &&
       used_bytes_ + page.charge > capacity_bytes_) {
@@ -114,19 +116,13 @@ Status PageStore::Write(PageId id, std::span<const uint8_t> data) {
   }
   Timer timer;
   Page& page = it->second;
+  // The logical page image is always the full page_size bytes: the
+  // payload followed by a zeroed tail (short writes zero-fill the rest
+  // of the page).
+  std::vector<uint8_t> raw(page_size_, 0);
+  std::copy(data.begin(), data.end(), raw.begin());
   bool fallback = false;
-  std::vector<uint8_t> stored;
-  if (codec_ == PageCodecKind::kNone) {
-    stored.assign(page_size_, 0);
-    std::copy(data.begin(), data.end(), stored.begin());
-  } else {
-    // The logical page image is always the full page_size bytes: the
-    // payload followed by a zeroed tail (mirroring the uncompressed
-    // store, where short writes zero-fill the rest of the page).
-    std::vector<uint8_t> raw(page_size_, 0);
-    std::copy(data.begin(), data.end(), raw.begin());
-    stored = EncodeStored(raw, &fallback);
-  }
+  std::vector<uint8_t> stored = EncodeStored(std::move(raw), &fallback);
   // Re-charge the page at its new stored size before committing: a
   // page that compressed well yesterday may not fit once rewritten
   // with less compressible data.
@@ -156,10 +152,10 @@ Status PageStore::Write(PageId id, std::span<const uint8_t> data) {
     }
   }
   ++io_.pages_written;
-  io_.raw_bytes_written += page_size_;
-  io_.stored_bytes_written += page.bytes.size();
   OBS_COUNTER_INC("pagestore/pages_written");
   if (codec_ != PageCodecKind::kNone) {
+    io_.raw_bytes_written += page_size_;
+    io_.stored_bytes_written += page.bytes.size();
     if (fallback) {
       ++io_.raw_fallback_writes;
       OBS_COUNTER_INC("pagestore/raw_fallback_writes");
@@ -215,19 +211,20 @@ Status PageStore::Read(PageId id, std::vector<uint8_t>* out) {
     return Status::DataLoss("checksum mismatch on page " +
                             std::to_string(id));
   }
-  if (codec_ == PageCodecKind::kNone) {
+  // A stored image of exactly page_size bytes is the raw page (always
+  // so without a codec); anything shorter is an envelope.
+  if (page.bytes.size() == page_size_) {
     *out = page.bytes;
-  } else {
-    Status st = DecodePageEnvelope(page.bytes, out);
-    if (!st.ok()) {
-      // CRC passed but the envelope is inconsistent: either the store
-      // has a bug or the image was tampered with beyond what a flip
-      // looks like. Surface as data loss, never as decoder UB.
-      ++io_.envelope_decode_failures;
-      OBS_COUNTER_INC("pagestore/envelope_decode_failures");
-      return Status::DataLoss("page " + std::to_string(id) +
-                              " envelope undecodable: " + st.message());
-    }
+  } else if (Status st = DecodePageEnvelope(page.bytes, out); !st.ok()) {
+    // CRC passed but the envelope is inconsistent: either the store has
+    // a bug or the image was tampered with beyond what a flip looks
+    // like. Surface as data loss, never as decoder UB.
+    ++io_.envelope_decode_failures;
+    OBS_COUNTER_INC("pagestore/envelope_decode_failures");
+    return Status::DataLoss("page " + std::to_string(id) +
+                            " envelope undecodable: " + st.message());
+  }
+  if (codec_ != PageCodecKind::kNone) {
     ++io_.hot_misses;
     OBS_COUNTER_INC("pagestore/hot_misses");
     if (hot_tier_bytes_ > 0) HotInsert(id, *out);

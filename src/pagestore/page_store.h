@@ -13,11 +13,16 @@
 //
 // With a PageCodec configured the store is compressed and tiered
 // (ROADMAP item 2): pages live compressed in the capacity-charged cold
-// store (each page charged at its stored envelope size, so the
-// effective budget is M x ratio), CRC32C covers the compressed image,
-// and an LRU hot tier of up to `hot_tier_bytes` decompressed pages
-// absorbs repeat reads. Callers are unaffected: Write still takes raw
-// bytes, Read still returns the raw page_size image.
+// store (each page charged at its stored size, so the effective budget
+// is M x ratio), CRC32C covers the stored image, and an LRU hot tier of
+// up to `hot_tier_bytes` decompressed pages absorbs repeat reads. A
+// page is stored as an envelope only when the envelope is shorter than
+// page_size; otherwise it is stored as the raw page image, exactly as
+// without a codec, so no page ever costs more than page_size and the
+// compression ratio is >= 1. Read tells the two apart by size. Callers
+// are unaffected: Write still takes raw bytes, Read still returns the
+// raw page_size image, and a stream of pages the codec cannot shrink
+// fills the store exactly as fast as it would without a codec.
 #ifndef BIRCH_PAGESTORE_PAGE_STORE_H_
 #define BIRCH_PAGESTORE_PAGE_STORE_H_
 
@@ -47,11 +52,12 @@ struct IoStats {
   uint64_t transient_read_errors = 0;
   uint64_t transient_write_errors = 0;
   /// Compression accounting (zero unless a codec is configured): raw
-  /// page bytes presented to Write vs envelope bytes actually stored.
+  /// page bytes presented to Write vs bytes actually stored (envelope
+  /// or raw page image), so raw_bytes_written >= stored_bytes_written.
   uint64_t raw_bytes_written = 0;
   uint64_t stored_bytes_written = 0;
-  /// Writes where the codec beat raw vs writes that fell back to a
-  /// verbatim payload (the ratio >= 1 guarantee in action).
+  /// Writes stored as an envelope shorter than page_size vs writes
+  /// stored as the raw page image (the ratio >= 1 guarantee in action).
   uint64_t compressed_writes = 0;
   uint64_t raw_fallback_writes = 0;
   /// Reads of envelopes that passed CRC but failed to decode (possible
@@ -109,8 +115,9 @@ class PageStore {
   const IoStats& io_stats() const { return io_; }
   const FaultStats& fault_stats() const { return injector_.stats(); }
 
-  /// Bytes page `id` occupies on the device (envelope size with a
-  /// codec, page_size without); 0 if the page is not allocated.
+  /// Bytes page `id` occupies on the device: the envelope size when the
+  /// codec shrank the page, page_size otherwise; 0 if the page is not
+  /// allocated.
   size_t stored_bytes(PageId id) const;
 
   /// Allocates a zeroed page; fails with OutOfDisk at capacity.
@@ -118,8 +125,8 @@ class PageStore {
 
   /// Writes `data` (at most page_size bytes; shorter writes are
   /// zero-padded to the full page) and refreshes the checksum, which
-  /// covers the stored image — the compressed envelope when a codec is
-  /// configured. May fail with kIOError (transient, page untouched —
+  /// covers the stored image — the compressed envelope when the codec
+  /// shrank the page. May fail with kIOError (transient, page untouched —
   /// retry), with OutOfDisk when the re-encoded page no longer fits the
   /// compressed capacity (page untouched), or "succeed" while the
   /// injector drops or corrupts the stored image (discovered on the
@@ -127,7 +134,8 @@ class PageStore {
   Status Write(PageId id, std::span<const uint8_t> data);
 
   /// Reads the full raw page into `out` (resized to page_size). Cold
-  /// reads verify CRC32C and decode the envelope; hot-tier hits return
+  /// reads verify CRC32C and decode the envelope (a stored image of
+  /// exactly page_size bytes is the raw page); hot-tier hits return
   /// the cached decompressed image directly. Fails with kIOError on a
   /// transient fault and kDataLoss on a lost page, checksum mismatch,
   /// or undecodable envelope.
@@ -152,8 +160,10 @@ class PageStore {
   FaultInjector* mutable_injector() { return &injector_; }
 
  private:
-  /// Builds the stored image for a raw (already padded) page.
-  std::vector<uint8_t> EncodeStored(std::span<const uint8_t> raw,
+  /// Builds the stored image for a raw (already padded) page: with a
+  /// codec, the envelope if it is shorter than the page, else the raw
+  /// page itself (`*fallback` set); without a codec, the raw page.
+  std::vector<uint8_t> EncodeStored(std::vector<uint8_t> raw,
                                     bool* fallback) const;
   void HotInsert(PageId id, std::vector<uint8_t> raw);
   void HotErase(PageId id);

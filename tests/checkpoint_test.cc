@@ -14,6 +14,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,8 +27,10 @@
 namespace birch {
 namespace {
 
+// Prefixed with the pid: the plain, .san and .tsan builds of this test
+// run side by side under `ctest -j` and must not share files.
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name;
 }
 
 Dataset MakeData(int k, int per_cluster, uint64_t seed) {

@@ -563,6 +563,66 @@ TEST(CompressedPageStoreTest, RoundTripIsTransparent) {
             store.io_stats().stored_bytes_written);
 }
 
+TEST(CompressedPageStoreTest, IncompressiblePageIsStoredRawAtPageSize) {
+  // A page the codec cannot shrink costs exactly page_size — never the
+  // page plus an envelope header — and reads back unchanged.
+  PageStoreOptions opt;
+  opt.page_size = 256;
+  opt.codec = PageCodecKind::kDeltaRle;
+  PageStore store(opt);
+  auto id = store.Allocate();
+  ASSERT_TRUE(id.ok());
+  Rng rng(41);
+  std::vector<uint8_t> noise(opt.page_size);
+  for (auto& b : noise) b = static_cast<uint8_t>(rng.Next() & 0xffu);
+  ASSERT_TRUE(store.Write(id.value(), noise).ok());
+  EXPECT_EQ(store.stored_bytes(id.value()), opt.page_size);
+  EXPECT_EQ(store.used_bytes(), opt.page_size);
+  EXPECT_EQ(store.io_stats().raw_fallback_writes, 1u);
+  EXPECT_EQ(store.io_stats().compressed_writes, 0u);
+  EXPECT_EQ(store.io_stats().raw_bytes_written, opt.page_size);
+  EXPECT_EQ(store.io_stats().stored_bytes_written, opt.page_size);
+  std::vector<uint8_t> out;
+  ASSERT_TRUE(store.Read(id.value(), &out).ok());
+  EXPECT_EQ(out, noise);
+  EXPECT_EQ(store.io_stats().envelope_decode_failures, 0u);
+}
+
+TEST(CompressedPageStoreTest, IncompressiblePagesFillCapacityLikeRawPages) {
+  // With capacity for exactly N raw pages, a codec store takes exactly
+  // N incompressible pages too: the codec never shrinks the budget.
+  constexpr size_t kPages = 4;
+  PageStoreOptions opt;
+  opt.page_size = 256;
+  opt.capacity_bytes = kPages * opt.page_size;
+  opt.codec = PageCodecKind::kDeltaRle;
+  PageStore store(opt);
+  Rng rng(7);
+  std::vector<uint8_t> noise(opt.page_size);
+  for (size_t i = 0; i < kPages; ++i) {
+    auto id = store.Allocate();
+    ASSERT_TRUE(id.ok()) << "allocation " << i;
+    for (auto& b : noise) b = static_cast<uint8_t>(rng.Next() & 0xffu);
+    ASSERT_TRUE(store.Write(id.value(), noise).ok()) << "write " << i;
+  }
+  EXPECT_EQ(store.used_bytes(), opt.capacity_bytes);
+  EXPECT_EQ(store.Allocate().status().code(), StatusCode::kOutOfDisk);
+}
+
+TEST(PageStoreTest, NoCodecKeepsCompressionCountersAtZero) {
+  PageStore store(128);
+  auto id = store.Allocate();
+  ASSERT_TRUE(id.ok());
+  std::vector<uint8_t> data(64, 0x5a);
+  ASSERT_TRUE(store.Write(id.value(), data).ok());
+  ASSERT_TRUE(store.Write(id.value(), data).ok());
+  EXPECT_EQ(store.io_stats().pages_written, 2u);
+  EXPECT_EQ(store.io_stats().raw_bytes_written, 0u);
+  EXPECT_EQ(store.io_stats().stored_bytes_written, 0u);
+  EXPECT_EQ(store.io_stats().compressed_writes, 0u);
+  EXPECT_EQ(store.io_stats().raw_fallback_writes, 0u);
+}
+
 TEST(CompressedPageStoreTest, CapacityChargesCompressedSizes) {
   // A 2-page raw budget holds many more compressible pages when each
   // is charged at its envelope size — the M x ratio effect.
@@ -625,8 +685,8 @@ TEST(CompressedPageStoreTest, RewriteThatStopsCompressingCanHitCapacity) {
   PageStore store(opt);
   auto id = store.Allocate();
   ASSERT_TRUE(id.ok());
-  // Rewrite with incompressible noise: the raw-fallback envelope is
-  // page_size + header, which no longer fits — OutOfDisk, page intact.
+  // Rewrite with incompressible noise: the page is then stored raw at
+  // page_size, which no longer fits — OutOfDisk, page intact.
   Rng rng(41);
   std::vector<uint8_t> noise(opt.page_size);
   for (auto& b : noise) b = static_cast<uint8_t>(rng.Next() & 0xffu);

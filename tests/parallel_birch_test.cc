@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <unistd.h>
 
 #include "birch/birch.h"
 #include "birch/checkpoint.h"
@@ -293,7 +294,11 @@ TEST(ParallelBirchTest, MidStreamShardedCheckpointRestores) {
   auto want = want_c.value()->Finish(&data);
   ASSERT_TRUE(want.ok()) << want.status().message();
 
-  const std::string path = testing::TempDir() + "/mid_stream_sharded.birch";
+  // Prefixed with the pid: the plain and .tsan builds of this test run
+  // side by side under `ctest -j` and must not share the file.
+  const std::string path = testing::TempDir() + "/" +
+                           std::to_string(getpid()) +
+                           "_mid_stream_sharded.birch";
   const size_t cut = data.size() / 3;
   {
     auto c = BirchClusterer::Create(o);

@@ -10,6 +10,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
 #include "birch/birch.h"
@@ -23,8 +24,10 @@
 namespace birch {
 namespace {
 
+// Prefixed with the pid: the plain, .san and .tsan builds of this test
+// run side by side under `ctest -j` and must not share files.
 std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  return testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name;
 }
 
 BirchOptions SmallOptions(int k) {
@@ -156,6 +159,7 @@ TEST_F(TelemetryTest, RunReportRoundTrip) {
   const std::string path = TempPath("run_report.json");
   ASSERT_TRUE(WriteRunReport(path, in).ok());
   auto doc_or = ReadRunReport(path);
+  std::remove(path.c_str());
   ASSERT_TRUE(doc_or.ok()) << doc_or.status().ToString();
   const JsonValue& doc = doc_or.value();
 
@@ -238,6 +242,7 @@ TEST_F(TelemetryTest, HistogramQuantilesInReport) {
   const std::string path = TempPath("run_report_hist.json");
   ASSERT_TRUE(WriteRunReport(path, in).ok());
   auto doc_or = ReadRunReport(path);
+  std::remove(path.c_str());
   ASSERT_TRUE(doc_or.ok());
   const JsonValue* hist =
       doc_or.value().Find("metrics")->Find("histograms")->Find(
@@ -270,6 +275,7 @@ TEST_F(TelemetryTest, RunReportWrittenOnFailure) {
   const std::string path = TempPath("run_report_failed.json");
   ASSERT_TRUE(WriteRunReport(path, in).ok());
   auto doc_or = ReadRunReport(path);
+  std::remove(path.c_str());
   ASSERT_TRUE(doc_or.ok());
   const JsonValue& doc = doc_or.value();
   EXPECT_FALSE(doc.Find("status")->Find("ok")->boolean());
@@ -295,6 +301,7 @@ TEST_F(TelemetryTest, ReadRejectsWrongSchemaAndVersion) {
                   .ok());
   EXPECT_EQ(ReadRunReport(wrong_schema).status().code(),
             StatusCode::kInvalidArgument);
+  std::remove(wrong_schema.c_str());
 
   const std::string wrong_version = TempPath("report_wrong_version.json");
   ASSERT_TRUE(WriteFileAtomic(wrong_version,
@@ -303,11 +310,13 @@ TEST_F(TelemetryTest, ReadRejectsWrongSchemaAndVersion) {
                   .ok());
   EXPECT_EQ(ReadRunReport(wrong_version).status().code(),
             StatusCode::kInvalidArgument);
+  std::remove(wrong_version.c_str());
 
   const std::string garbage = TempPath("report_garbage.json");
   ASSERT_TRUE(WriteFileAtomic(garbage, "{\"schema\": \"birch_").ok());
   EXPECT_EQ(ReadRunReport(garbage).status().code(),
             StatusCode::kCorruption);
+  std::remove(garbage.c_str());
 
   EXPECT_FALSE(ReadRunReport(TempPath("no_such_report.json")).ok());
 }
