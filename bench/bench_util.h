@@ -114,16 +114,6 @@ inline bool HasFlagArg(int argc, char** argv, const std::string& name) {
   return false;
 }
 
-/// Valued-flag lookup (e.g. --affinity on); `fallback` when absent.
-inline std::string FlagValueFromArgs(int argc, char** argv,
-                                     const std::string& name,
-                                     const std::string& fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (argv[i] == name) return argv[i + 1];
-  }
-  return fallback;
-}
-
 /// --scalar-kernel: run the per-entry scalar distance oracle instead of
 /// the batched SoA kernels. Results are bitwise identical; the flag
 /// exists so A/B timing runs need no rebuild.

@@ -66,7 +66,6 @@ ShardedPhase1Options IngestOptionsFrom(const BirchOptions& o) {
   ShardedPhase1Options sp;
   sp.phase1 = Phase1OptionsFrom(o);
   sp.num_shards = o.exec.num_threads;
-  sp.dealing = o.exec.dealing;
   sp.splitter_seed = o.exec.splitter_seed;
   return sp;
 }

@@ -8,7 +8,6 @@
 #include <string>
 #include <unordered_set>
 
-#include "birch/kernel/kernel_ops.h"
 #include "obs/export.h"
 #include "obs/trace.h"
 
@@ -23,9 +22,6 @@ CfTree::CfTree(const CfTreeOptions& options, MemoryTracker* mem)
       layout_{options.page_size, options.dim, options.cf_storage},
       threshold_(options.threshold),
       mem_(mem),
-      descent_ops_(options.kernel == KernelKind::kBatchFast
-                       ? &kernel::detail::GetFastOps()
-                       : nullptr),
       point_cf_(options.dim, options.cf, options.cf_storage) {
   assert(mem_ != nullptr);
   root_ = AllocNode(/*leaf=*/true);
@@ -96,9 +92,8 @@ size_t CfTree::ClosestIndex(const CfNode& node, const CfVector& cf,
       local.Prepare(cf, options_.metric, &ws_.query_centroid);
       query = &local;
     }
-    kernel::ScanResult r = kernel::NearestEntry(
-        node.scratch, *query, options_.metric, &ws_,
-        /*active=*/nullptr, /*exclude=*/kNone, descent_ops_);
+    kernel::ScanResult r =
+        kernel::NearestEntry(node.scratch, *query, options_.metric, &ws_);
     stats_.distance_comparisons += node.entries.size();
     OBS_COUNTER_ADD("tree/distance_comps", node.entries.size());
     return r.index;
@@ -129,8 +124,7 @@ bool CfTree::CanAbsorb(const CfVector& existing,
                        const CfVector& incoming) const {
   if (IsBatchKernel(options_.kernel)) {
     // Allocation-free merged statistic, bitwise equal to
-    // MergedThresholdValue (which materializes the merged CF). Exact
-    // under kBatchFast too: only descent scans use the fast ops.
+    // MergedThresholdValue (which materializes the merged CF).
     double v = options_.threshold_kind == ThresholdKind::kDiameter
                    ? kernel::MergedDiameter(existing, incoming)
                    : kernel::MergedRadius(existing, incoming);

@@ -44,11 +44,7 @@ struct CfTreeOptions {
   CfStorage cf_storage = CfStorage::kF64;
   /// Distance-scan implementation for descent and absorption tests.
   /// kBatch scans each node's SoA scratch block; kScalar is the
-  /// per-entry oracle; the two are bitwise identical. kBatchFast
-  /// additionally routes the descent scans through the FMA/AVX-512
-  /// column primitives when the CPU has them — faster, same structure,
-  /// but last-ulp distances may differ from the oracle (absorption
-  /// tests still use the exact merged statistics).
+  /// per-entry oracle; the two are bitwise identical.
   KernelKind kernel = KernelKind::kBatch;
 };
 
@@ -211,10 +207,6 @@ class CfTree {
   CfLayout layout_;
   double threshold_;
   MemoryTracker* mem_;
-  /// Non-null only under kBatchFast: the FMA/AVX-512 column-primitive
-  /// table the descent scans use (resolved once at construction;
-  /// nullptr means NearestEntry uses the correctly-rounded dispatch).
-  const kernel::detail::Ops* descent_ops_ = nullptr;
 
   CfNode* root_ = nullptr;
   CfNode* first_leaf_ = nullptr;

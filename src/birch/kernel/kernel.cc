@@ -14,7 +14,6 @@ const char* KernelName(KernelKind kind) {
   switch (kind) {
     case KernelKind::kScalar: return "scalar";
     case KernelKind::kBatch: return "batch";
-    case KernelKind::kBatchFast: return "batch-fast";
   }
   return "?";
 }
@@ -100,16 +99,6 @@ const Ops& GetOps() {
   if (use_avx2) return kAvx2Ops;
 #endif
   return kPortableOps;
-}
-
-const Ops& GetFastOps() {
-#if defined(BIRCH_KERNEL_FMA)
-  static const bool use_fma = __builtin_cpu_supports("avx512f") &&
-                              __builtin_cpu_supports("avx512dq") &&
-                              __builtin_cpu_supports("fma");
-  if (use_fma) return kFmaOps;
-#endif
-  return GetOps();
 }
 
 }  // namespace detail
@@ -253,16 +242,14 @@ void CfBatch::Update(size_t i, const CfVector& entry) {
 }
 
 void FillDistances(const CfBatch& batch, const CfQuery& query,
-                   DistanceMetric metric, Workspace* ws,
-                   const detail::Ops* ops_override) {
+                   DistanceMetric metric, Workspace* ws) {
   const size_t m = batch.size();
   const size_t cap = batch.capacity();
   const size_t dim = batch.dim();
   ws->dist.assign(m, 0.0);
   if (m == 0) return;
   double* acc = ws->dist.data();
-  const detail::Ops& ops =
-      ops_override != nullptr ? *ops_override : detail::GetOps();
+  const detail::Ops& ops = detail::GetOps();
 
   if (query.cf->rep() == CfRepresentation::kBetula) {
     // Every BETULA metric starts from the squared mean differences
@@ -384,9 +371,8 @@ void FillDistances(const CfBatch& batch, const CfQuery& query,
 
 ScanResult NearestEntry(const CfBatch& batch, const CfQuery& query,
                         DistanceMetric metric, Workspace* ws,
-                        const uint8_t* active, size_t exclude,
-                        const detail::Ops* ops) {
-  FillDistances(batch, query, metric, ws, ops);
+                        const uint8_t* active, size_t exclude) {
+  FillDistances(batch, query, metric, ws);
   ScanResult r;
   r.distance = std::numeric_limits<double>::infinity();
   const double* dist = ws->dist.data();
@@ -504,13 +490,7 @@ bool Avx2Active() {
 #endif
 }
 
-bool FmaActive() {
-#if defined(BIRCH_KERNEL_FMA)
-  return &detail::GetFastOps() == &detail::kFmaOps;
-#else
-  return false;
-#endif
-}
+bool FmaActive() { return false; }
 
 // Silence -Wunused for kNone in builds where asserts compile out.
 static_assert(kNone == static_cast<size_t>(-1));

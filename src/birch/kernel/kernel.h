@@ -33,15 +33,8 @@ namespace birch {
 /// Which distance-scan implementation the pipeline uses. kScalar is the
 /// per-CfVector oracle (metrics.cc); kBatch is the SoA layer below.
 /// They produce bitwise-identical results; kScalar exists as the
-/// equivalence oracle and as a fallback while debugging. kBatchFast is
-/// kBatch with the CF-tree descent scans routed through the FMA/
-/// AVX-512 column primitives where the CPU has them — measurably
-/// faster on wide dims but NOT bitwise against the oracle (fused
-/// multiply-adds round once, not twice), so it is opt-in and gated
-/// A/B in tests on quality rather than bit equality. On hardware
-/// without AVX-512 (or in a build without BIRCH_KERNEL_FMA) it decays
-/// to exactly kBatch.
-enum class KernelKind { kScalar = 0, kBatch, kBatchFast };
+/// equivalence oracle and as a fallback while debugging.
+enum class KernelKind { kScalar = 0, kBatch };
 
 /// Parse/format helper for CLI flags and bench labels.
 const char* KernelName(KernelKind kind);
@@ -53,10 +46,6 @@ inline bool IsBatchKernel(KernelKind kind) {
 }
 
 namespace kernel {
-
-namespace detail {
-struct Ops;  // column-primitive table, kernel_ops.h
-}  // namespace detail
 
 /// Query-side precomputations, built once per scan (or once per tree
 /// descent) instead of once per candidate: centroid, SS/N, and the
@@ -149,23 +138,18 @@ struct ScanResult {
 
 /// Computes Distance(metric, query, batch[i]) for every i in
 /// [0, batch.size()) into ws->dist (resized), bitwise-equal to the
-/// scalar oracle. `ops` selects the column-primitive table: nullptr
-/// (the default everywhere correctness matters) is the correctly-
-/// rounded dispatch (GetOps()); pass &GetFastOps() for the FMA lane —
-/// same argmin structure, last-ulp distances may differ.
+/// scalar oracle.
 void FillDistances(const CfBatch& batch, const CfQuery& query,
-                   DistanceMetric metric, Workspace* ws,
-                   const detail::Ops* ops = nullptr);
+                   DistanceMetric metric, Workspace* ws);
 
 /// One-pass batch scan: nearest entry of `batch` to `query` under
 /// `metric`. `active` (nullable) masks candidates; `exclude` (or
 /// SIZE_MAX) skips one index. First-wins on ties, exactly like the
-/// scalar loop. `ops` as in FillDistances.
+/// scalar loop.
 ScanResult NearestEntry(const CfBatch& batch, const CfQuery& query,
                         DistanceMetric metric, Workspace* ws,
                         const uint8_t* active = nullptr,
-                        size_t exclude = static_cast<size_t>(-1),
-                        const detail::Ops* ops = nullptr);
+                        size_t exclude = static_cast<size_t>(-1));
 
 /// Diameter / radius the merge of `a` and `b` would have, computed
 /// without materializing the merged CF (no allocation). Bitwise-equal
@@ -199,10 +183,9 @@ class CenterBatch {
 /// supports it (runtime dispatch; bench labels / tests read this).
 bool Avx2Active();
 
-/// True when the FMA/AVX-512 lane is compiled in (BIRCH_KERNEL_FMA)
-/// AND the CPU supports it: kBatchFast then actually diverges from
-/// kBatch. False means GetFastOps() == GetOps() and kBatchFast is
-/// bitwise kBatch.
+/// Always false: no fused-multiply-add lane exists, so every scan is
+/// correctly rounded. Kept for host-description lines that report the
+/// active ISA lanes.
 bool FmaActive();
 
 }  // namespace kernel

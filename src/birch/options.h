@@ -26,22 +26,6 @@
 
 namespace birch {
 
-/// How the sharded Phase-1 dealer routes points to shards.
-enum class DealingMode {
-  /// Space-partitioned (the default): a shallow k-means splitter,
-  /// fitted over the first points of the stream, routes each point to
-  /// the shard that owns its spatial region. Shard trees end up mostly
-  /// disjoint, so the final AbsorbTree merge is near-trivial.
-  kAffinity = 0,
-  /// Point i goes to shard i mod S (the pre-affinity behavior). Kept
-  /// as the A/B baseline and for workloads with no spatial structure.
-  kRoundRobin,
-};
-
-inline const char* DealingModeName(DealingMode m) {
-  return m == DealingMode::kAffinity ? "affinity" : "round-robin";
-}
-
 struct BirchOptions {
   // --- Problem ---
   size_t dim = 2;
@@ -152,15 +136,15 @@ struct BirchOptions {
     /// Worker threads for the parallel paths. 0 (the default) and 1
     /// run the serial pipeline, bit-for-bit identical to each other.
     /// N >= 2 shards Phase 1 — on every ingest entry point — across N
-    /// private CF trees (dealt per `dealing`, merged by CF additivity).
+    /// private CF trees, merged by CF additivity. A shallow k-means
+    /// splitter, fitted over the first points of the stream, deals
+    /// each point to the shard that owns its spatial region, so the
+    /// shard trees are mostly disjoint.
     /// N >= 1 runs the Phase-3 / Phase-4 loops through a ThreadPool of
     /// N workers. Results are deterministic for a fixed (seed,
     /// num_threads, splitter_seed) triple; different thread counts may
     /// differ in the last float bits (chunked summation order).
     int num_threads = 0;
-    /// Shard routing policy (see DealingMode). Only consulted when
-    /// num_threads > 1.
-    DealingMode dealing = DealingMode::kAffinity;
     /// Seed for the affinity splitter's shallow k-means. Part of the
     /// determinism contract: fixed (seed, num_threads, splitter_seed)
     /// implies a bitwise-reproducible run.
@@ -168,11 +152,7 @@ struct BirchOptions {
     /// Distance-scan implementation for the hot paths (tree descent,
     /// Phase-3 sweeps, Phase-4 assignment). kScalar and kBatch are
     /// bitwise identical; kBatch is the SoA one-pass scan
-    /// (kernel/kernel.h). kBatchFast additionally routes the CF-tree
-    /// descent scans through the FMA/AVX-512 lane where the CPU has
-    /// one — faster but NOT bitwise against the oracle (last-ulp
-    /// rounding differs), so it is opt-in and excluded from the
-    /// determinism contract above.
+    /// (kernel/kernel.h).
     KernelKind kernel = KernelKind::kBatch;
   };
 
@@ -353,7 +333,6 @@ class BirchOptions::Builder {
 
   // --- Execution ---
   Builder& NumThreads(int v) { o_.exec.num_threads = v; return *this; }
-  Builder& Dealing(DealingMode v) { o_.exec.dealing = v; return *this; }
   Builder& SplitterSeed(uint64_t v) { o_.exec.splitter_seed = v; return *this; }
   Builder& Kernel(KernelKind v) { o_.exec.kernel = v; return *this; }
 

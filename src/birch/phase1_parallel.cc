@@ -283,10 +283,8 @@ StatusOr<std::unique_ptr<Phase1Ingest>> Phase1Ingest::Create(
   if (shards == 1) return in;
 
   OBS_GAUGE_SET("exec/shards", shards);
-  if (options.dealing == DealingMode::kAffinity) {
-    in->splitter_ = std::make_unique<AffinitySplitter>(
-        options.phase1.tree.dim, shards, options.splitter_seed);
-  }
+  in->splitter_ = std::make_unique<AffinitySplitter>(
+      options.phase1.tree.dim, shards, options.splitter_seed);
   in->scan_span_.emplace("phase1/scan");
   in->workers_done_ = std::make_unique<Latch>(shards);
   for (auto& sh_ptr : in->shards_) {
@@ -334,13 +332,13 @@ Status Phase1Ingest::AddBatch(std::span<const double> xs, size_t n,
   for (size_t j = 0; j < n; ++j) {
     std::span<const double> p = xs.subspan(j * dim, dim);
     size_t s;
-    if (splitter_ != nullptr && splitter_->armed()) {
+    if (splitter_->armed()) {
       s = splitter_->Route(p, &route_ws_);
     } else {
       s = static_cast<size_t>(dealt_ % shards);
       // The point that completes the sample is still dealt round-
       // robin; affinity routing starts at the next one.
-      if (splitter_ != nullptr) splitter_->Observe(p);
+      splitter_->Observe(p);
     }
     PointBatch& b = shards_[s]->pending;
     b.xs.insert(b.xs.end(), p.begin(), p.end());
@@ -359,6 +357,7 @@ Status Phase1Ingest::SkipPrefix(PointSource* source, uint64_t n) {
   double w = 1.0;
   uint64_t i = 0;
   while (i < n && source->Next(p, &w)) {
+    // S = 1 has no splitter; a serial resume only consumes the prefix.
     if (splitter_ != nullptr && !splitter_->armed()) splitter_->Observe(p);
     ++i;
   }

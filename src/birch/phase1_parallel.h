@@ -8,15 +8,14 @@
 //   S > 1: the caller's thread deals each point to a shard, handing
 //      whole batches to each shard worker through a bounded
 //      exec::Channel (backpressure, O(S * batch) transient memory).
-//      Under DealingMode::kAffinity (the default) the head of the
-//      stream is dealt round-robin while it accumulates into a sample;
-//      a shallow seeded k-means fitted on that sample then owns the
-//      routing — each point goes to the shard holding its nearest
+//      The dealer is space-partitioned (affinity dealing): the head of
+//      the stream is dealt round-robin while it accumulates into a
+//      sample; a shallow seeded k-means fitted on that sample then owns
+//      the routing — each point goes to the shard holding its nearest
 //      splitter center (centers are packed onto shards greedily by
 //      sample mass, heaviest first), so shard trees cover mostly
-//      disjoint regions and the final merge is near-trivial.
-//      kRoundRobin keeps the plain i mod S deal. Both are
-//      deterministic functions of the stream prefix (plus
+//      disjoint regions and the final merge is near-trivial. The deal
+//      is a deterministic function of the stream prefix (plus
 //      splitter_seed), never of thread timing. Each of the S pool
 //      workers runs a private, fully serial Phase1Builder (its own CF
 //      tree, memory tracker, outlier disk) over its shard. Finish()
@@ -63,8 +62,6 @@ struct ShardedPhase1Options {
   /// Number of shards; clamped to [1, pool->size()] (each shard
   /// occupies one pool worker until Finish()).
   int num_shards = 1;
-  /// Shard routing policy (see DealingMode in birch/options.h).
-  DealingMode dealing = DealingMode::kAffinity;
   /// Seed of the affinity splitter's shallow k-means; part of the
   /// determinism contract (routing is a pure function of the stream
   /// prefix and this seed).
@@ -130,9 +127,9 @@ class Phase1Ingest {
                   std::span<const double> weights = {});
 
   /// Resume: reads the `n` points the checkpointed run already
-  /// consumed from `source` without ingesting them. With affinity
-  /// dealing they re-fit the splitter, reproducing the original
-  /// routing exactly. InvalidArgument if the source ends first.
+  /// consumed from `source` without ingesting them. With S > 1 they
+  /// re-fit the splitter, reproducing the original routing exactly.
+  /// InvalidArgument if the source ends first.
   Status SkipPrefix(PointSource* source, uint64_t n);
 
   /// Quiesced view: runs `fn` on one coherent tree of everything
@@ -177,7 +174,7 @@ class Phase1Ingest {
   std::vector<std::unique_ptr<Shard>> shards_;
   /// S > 1: counts the workers down at the end of the stream.
   std::unique_ptr<Latch> workers_done_;
-  /// S > 1 under kAffinity.
+  /// S > 1: the affinity dealer.
   std::unique_ptr<AffinitySplitter> splitter_;
   kernel::Workspace route_ws_;
   /// S > 1: points dealt, resumed prefix included (S = 1 reads the

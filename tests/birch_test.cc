@@ -372,36 +372,6 @@ TEST(BirchTest, SnapshotBeforeIngestNamesTheRemedy) {
       << snap.status().message();
 }
 
-// The FMA fast-dispatch leg is opt-in and quality-gated: a kBatchFast
-// run must clear the same bars as the correctly-rounded kBatch oracle,
-// and with no FMA leg active it must match the oracle bitwise.
-TEST(BirchTest, BatchFastKernelMeetsQualityBars) {
-  auto gen = GeneratePaperDataset(PaperDataset::kDS1, /*k=*/25, /*n=*/200);
-  ASSERT_TRUE(gen.ok());
-  const auto& g = gen.value();
-  BirchOptions fast = SmallOptions(25);
-  fast.exec.kernel = KernelKind::kBatchFast;
-  auto rf = ClusterDataset(g.data, fast);
-  ASSERT_TRUE(rf.ok()) << rf.status().ToString();
-
-  MatchReport match = MatchClusters(g.actual, rf.value().clusters);
-  EXPECT_EQ(match.matched, 25);
-  std::vector<CfVector> actual_cfs;
-  for (const auto& a : g.actual) actual_cfs.push_back(a.cf);
-  double d_actual = WeightedAverageDiameter(actual_cfs);
-  double d_fast = WeightedAverageDiameter(rf.value().clusters);
-  EXPECT_LT(d_fast, 1.30 * d_actual);
-
-  if (!kernel::FmaActive()) {
-    BirchOptions oracle = SmallOptions(25);
-    oracle.exec.kernel = KernelKind::kBatch;
-    auto rb = ClusterDataset(g.data, oracle);
-    ASSERT_TRUE(rb.ok());
-    EXPECT_EQ(rf.value().labels, rb.value().labels);
-    EXPECT_EQ(rf.value().final_threshold, rb.value().final_threshold);
-  }
-}
-
 // AddBatch is the primary ingest surface and Add/AddDataset are sugar
 // over it, so the serial path must be bitwise-identical however the
 // same stream is sliced into batches: per-point Add, one whole-dataset

@@ -274,8 +274,9 @@ TEST(CheckpointTest, ShardedAutoCheckpointRoundTrips) {
   EXPECT_EQ(img.value().points_ingested % 400, 0u);
 
   // Resume from the mid-stream image with the SAME full stream: the
-  // dealer skips the ingested prefix and continues the round-robin at
-  // the same index, so the result matches the uninterrupted run.
+  // dealer skips the ingested prefix (re-fitting the affinity splitter
+  // from it) and routes the rest exactly as the uninterrupted run did,
+  // so the result matches it.
   auto c_or = BirchClusterer::Restore(path, o);
   ASSERT_TRUE(c_or.ok()) << c_or.status().ToString();
   DatasetSource src(&data);

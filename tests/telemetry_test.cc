@@ -341,9 +341,6 @@ TEST_F(TelemetryTest, OptionsFingerprintTracksBehaviorNotTelemetry) {
   // Shard routing is part of the (seed, num_threads, splitter_seed)
   // determinism contract.
   b = SmallOptions(8);
-  b.exec.dealing = DealingMode::kRoundRobin;
-  EXPECT_NE(OptionsFingerprint(a), OptionsFingerprint(b));
-  b = SmallOptions(8);
   b.exec.splitter_seed += 1;
   EXPECT_NE(OptionsFingerprint(a), OptionsFingerprint(b));
 }

@@ -77,21 +77,12 @@ StatusOr<GlobalAlgorithm> ParseAlgorithm(const std::string& name) {
                                  "' (want hc|kmeans|medoids)");
 }
 
-StatusOr<DealingMode> ParseDealing(const std::string& name) {
-  for (auto d : {DealingMode::kAffinity, DealingMode::kRoundRobin}) {
-    if (name == DealingModeName(d)) return d;
-  }
-  return Status::InvalidArgument("unknown dealing mode '" + name +
-                                 "' (want affinity|round-robin)");
-}
-
 StatusOr<KernelKind> ParseKernel(const std::string& name) {
-  for (auto k : {KernelKind::kScalar, KernelKind::kBatch,
-                 KernelKind::kBatchFast}) {
+  for (auto k : {KernelKind::kScalar, KernelKind::kBatch}) {
     if (name == KernelName(k)) return k;
   }
   return Status::InvalidArgument("unknown kernel '" + name +
-                                 "' (want scalar|batch|batch-fast)");
+                                 "' (want scalar|batch)");
 }
 
 int Run(int argc, char** argv) {
@@ -102,7 +93,7 @@ int Run(int argc, char** argv) {
        "threshold", "algorithm",
        "refine-passes",
        "discard-distance", "no-outliers", "no-delay-split", "stream",
-       "seed", "threads", "dealing", "splitter-seed", "kernel",
+       "seed", "threads", "splitter-seed", "kernel",
        "fault-read", "fault-write", "fault-lose",
        "fault-flip", "fault-seed", "io-attempts", "metrics", "metrics-csv",
        "trace-out", "report", "sample-every-ms", "checkpoint",
@@ -119,8 +110,8 @@ int Run(int argc, char** argv) {
                  "[--threshold T0] [--algorithm hc|kmeans|medoids] "
                  "[--refine-passes N] [--discard-distance D] "
                  "[--no-outliers] [--no-delay-split] [--stream] "
-                 "[--seed S] [--threads N] [--dealing affinity|round-robin] "
-                 "[--splitter-seed S] [--kernel scalar|batch|batch-fast]\n"
+                 "[--seed S] [--threads N] [--splitter-seed S] "
+                 "[--kernel scalar|batch]\n"
                  "       [--disk-kb R] [--page-codec none|delta-rle] "
                  "[--hot-tier-kb N] [--fault-read P] [--fault-write P] "
                  "[--fault-lose P] [--fault-flip P] [--fault-seed S] "
@@ -136,14 +127,10 @@ int Run(int argc, char** argv) {
                  "parallelizes Phases 3/4\n"
                  "  (0 = serial, the default; deterministic for a fixed "
                  "seed, thread count, and\n"
-                 "  splitter seed). --dealing affinity (default) routes "
-                 "points to shards by spatial\n"
-                 "  region via a sampled splitter seeded by "
-                 "--splitter-seed; round-robin deals i %% N.\n"
-                 "  --kernel batch-fast opts the CF-tree descent into the "
-                 "FMA/AVX-512 leg when the\n"
-                 "  CPU has one (faster, last-bit different); scalar|batch "
-                 "stay bitwise deterministic.\n"
+                 "  splitter seed). Points are dealt to shards by spatial "
+                 "region via a sampled\n"
+                 "  splitter seeded by --splitter-seed. --kernel "
+                 "scalar|batch are bitwise identical.\n"
                  "  --disk-kb 0 disables the outlier disk (in-tree "
                  "fallback); --page-codec delta-rle\n"
                  "  compresses outlier pages (effective disk budget = "
@@ -228,12 +215,6 @@ int Run(int argc, char** argv) {
     return 2;
   }
   o.exec.num_threads = static_cast<int>(threads);
-  auto dealing_or = ParseDealing(flags.GetString("dealing", "affinity"));
-  if (!dealing_or.ok()) {
-    std::fprintf(stderr, "%s\n", dealing_or.status().ToString().c_str());
-    return 2;
-  }
-  o.exec.dealing = dealing_or.value();
   o.exec.splitter_seed = static_cast<uint64_t>(flags.GetInt(
       "splitter-seed", static_cast<int64_t>(o.exec.splitter_seed)));
   auto kernel_or = ParseKernel(flags.GetString("kernel", "batch"));
